@@ -60,6 +60,7 @@ use crate::msg::{
 use crate::pf::{FilterRule, PacketFilterServer, PfStats};
 use crate::posix::NetClient;
 use crate::rings::RingTable;
+use crate::service::{serve, Service};
 use crate::sockbuf::Doorbell;
 use crate::syscall::{SyscallReplica, SyscallServer, SyscallStats};
 use crate::tcp::{TcpConfig, TcpServer, TcpStats};
@@ -257,23 +258,14 @@ pub struct FabricStats {
 
 /// Aggregated per-component statistics sampled from the running servers.
 ///
-/// The scalar fields mirror the unsharded stack (and alias shard 0 /
-/// driver 0 of a sharded one); the `*_shards` and `drivers` arrays carry
-/// one entry per stack shard and per NIC respectively.
+/// The `*_shards` and `drivers` arrays carry one entry per stack shard and
+/// per NIC respectively; an unsharded stack fills slot 0.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Telemetry {
-    /// TCP server counters (shard 0).
-    pub tcp: TcpStats,
-    /// UDP server counters (shard 0).
-    pub udp: UdpStats,
-    /// IP server counters (shard 0).
-    pub ip: IpStats,
     /// Packet filter counters.
     pub pf: PfStats,
     /// SYSCALL server counters (including per-shard routing counts).
     pub syscall: SyscallStats,
-    /// Driver 0 counters (representative).
-    pub driver0: DriverStats,
     /// Per-shard TCP counters.
     pub tcp_shards: [TcpStats; MAX_SHARDS],
     /// Per-shard UDP counters.
@@ -344,47 +336,30 @@ impl Telemetry {
 ///
 /// Dropping the stack shuts every service down.
 pub struct NewtStack {
-    config: StackConfig,
-    clock: SimClock,
-    kernel: KernelIpc,
-    registry: Registry,
-    storage: Arc<StorageServer>,
+    wiring: Arc<Wiring>,
     rs: ReincarnationServer,
-    pools: PoolTable,
     peers: Vec<Arc<RemotePeer>>,
     peer_handles: Vec<PeerHandle>,
     links: Vec<Link>,
     peer_traces: Vec<TraceCapture>,
-    nics: Vec<Arc<Mutex<Nic>>>,
-    rings: Arc<RingTable>,
     component_services: HashMap<Component, Endpoint>,
-    telemetry: Arc<Mutex<Telemetry>>,
-    /// Per-shard observer handles onto every fabric lane's counters.
-    fabric_probes: Vec<Vec<newt_channels::spsc::StatsHandle>>,
     next_app: AtomicU32,
 }
 
 impl std::fmt::Debug for NewtStack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let config = &self.wiring.config;
         f.debug_struct("NewtStack")
-            .field("topology", &self.config.topology)
-            .field("nics", &self.config.nics)
-            .field("shards", &self.config.shards)
-            .field("tso", &self.config.tso)
+            .field("topology", &config.topology)
+            .field("nics", &config.nics)
+            .field("shards", &config.shards)
+            .field("tso", &config.tso)
             .finish()
     }
 }
 
-struct ServerBundle {
-    tcp: TcpServer,
-    udp: UdpServer,
-    ip: IpServer,
-    pf: Option<PacketFilterServer>,
-}
-
 /// The private fabric of one stack shard: every queue its three servers
 /// speak over.  Lanes are per shard so replicas share nothing.
-#[derive(Clone)]
 struct ShardLanes {
     tcp_to_ip: Chan<TransportToIp>,
     ip_to_tcp: Chan<IpToTransport>,
@@ -438,45 +413,274 @@ impl ShardLanes {
         }
     }
 
-    /// Observer handles onto every lane of this shard, in a stable order,
-    /// for the fabric message accounting.
-    fn stats_handles(&self) -> Vec<newt_channels::spsc::StatsHandle> {
-        let mut handles = vec![
-            self.tcp_to_ip.stats_handle(),
-            self.ip_to_tcp.stats_handle(),
-            self.udp_to_ip.stats_handle(),
-            self.ip_to_udp.stats_handle(),
-            self.ip_to_pf.stats_handle(),
-            self.pf_to_ip.stats_handle(),
-            self.pf_to_tcp.stats_handle(),
-            self.tcp_to_pf.stats_handle(),
-            self.pf_to_udp.stats_handle(),
-            self.udp_to_pf.stats_handle(),
-            self.sys_to_tcp.stats_handle(),
-            self.tcp_to_sys.stats_handle(),
-            self.sys_to_udp.stats_handle(),
-            self.udp_to_sys.stats_handle(),
-            self.ring_to_tcp.stats_handle(),
-            self.tcp_to_ring.stats_handle(),
+    /// The counters of every lane of this shard, in the order of
+    /// [`NewtStack::fabric_lane_names`].
+    fn lane_stats(&self) -> Vec<newt_channels::spsc::QueueStats> {
+        let mut stats = vec![
+            self.tcp_to_ip.stats_handle().stats(),
+            self.ip_to_tcp.stats_handle().stats(),
+            self.udp_to_ip.stats_handle().stats(),
+            self.ip_to_udp.stats_handle().stats(),
+            self.ip_to_pf.stats_handle().stats(),
+            self.pf_to_ip.stats_handle().stats(),
+            self.pf_to_tcp.stats_handle().stats(),
+            self.tcp_to_pf.stats_handle().stats(),
+            self.pf_to_udp.stats_handle().stats(),
+            self.udp_to_pf.stats_handle().stats(),
+            self.sys_to_tcp.stats_handle().stats(),
+            self.tcp_to_sys.stats_handle().stats(),
+            self.sys_to_udp.stats_handle().stats(),
+            self.udp_to_sys.stats_handle().stats(),
+            self.ring_to_tcp.stats_handle().stats(),
+            self.tcp_to_ring.stats_handle().stats(),
         ];
-        for lane in &self.ip_to_drv {
-            handles.push(lane.stats_handle());
-        }
-        for lane in &self.drv_to_ip {
-            handles.push(lane.stats_handle());
-        }
-        handles
+        let to_drivers = self.ip_to_drv.iter().map(|l| l.stats_handle().stats());
+        stats.extend(to_drivers.chain(self.drv_to_ip.iter().map(|l| l.stats_handle().stats())));
+        stats
     }
 }
 
 /// The per-shard pools: receive and header pools owned by the shard's IP
 /// server, transmit pools owned by its transports.
-#[derive(Clone)]
 struct ShardPools {
     rx: Pool,
     header: Pool,
     tcp_tx: Pool,
     udp_tx: Pool,
+}
+
+/// Everything a server incarnation is built from, shared by every service
+/// body and by the [`NewtStack`] handle.  The lanes, pools, rings and NICs
+/// live here, outside every server, so they survive any component's crash
+/// or live update.
+struct Wiring {
+    config: StackConfig,
+    clock: SimClock,
+    kernel: KernelIpc,
+    storage: Arc<StorageServer>,
+    registry: Registry,
+    pools: PoolTable,
+    shard_pools: Vec<ShardPools>,
+    lanes: Vec<ShardLanes>,
+    crash_board: CrashBoard,
+    rings: Arc<RingTable>,
+    nics: Vec<Arc<Mutex<Nic>>>,
+    telemetry: Mutex<Telemetry>,
+}
+
+impl Wiring {
+    /// Builds the incarnation of `component`'s server that the service
+    /// runtime `rt` is starting.
+    fn build(&self, component: Component, rt: &ServiceRuntime) -> Box<dyn Service> {
+        let config = &self.config;
+        let s = match component {
+            Component::TcpShard(s)
+            | Component::UdpShard(s)
+            | Component::IpShard(s)
+            | Component::SyscallShard(s) => s,
+            _ => 0,
+        };
+        let shard = Shard::new(s, config.shards);
+        let lane = &self.lanes[s];
+        match component {
+            Component::Tcp | Component::TcpShard(_) => Box::new(TcpServer::new(
+                rt.start_mode(),
+                rt.generation(),
+                shard,
+                config.tcp.clone(),
+                self.clock.clone(),
+                Arc::clone(&self.storage),
+                self.registry.clone(),
+                self.shard_pools[s].tcp_tx.clone(),
+                self.pools.clone(),
+                lane.sys_to_tcp.rx(),
+                lane.tcp_to_sys.tx(),
+                lane.ring_to_tcp.rx(),
+                lane.tcp_to_ring.tx(),
+                lane.tcp_to_ip.tx(),
+                lane.ip_to_tcp.rx(),
+                lane.pf_to_tcp.rx(),
+                lane.tcp_to_pf.tx(),
+                self.crash_board.clone(),
+                Arc::clone(&lane.tcp_doorbell),
+                rt.take_snapshot(),
+            )),
+            Component::Udp | Component::UdpShard(_) => Box::new(UdpServer::new(
+                rt.start_mode(),
+                rt.generation(),
+                shard,
+                Arc::clone(&self.storage),
+                self.registry.clone(),
+                self.shard_pools[s].udp_tx.clone(),
+                self.pools.clone(),
+                lane.sys_to_udp.rx(),
+                lane.udp_to_sys.tx(),
+                lane.udp_to_ip.tx(),
+                lane.ip_to_udp.rx(),
+                lane.pf_to_udp.rx(),
+                lane.udp_to_pf.tx(),
+                self.crash_board.clone(),
+                rt.take_snapshot(),
+            )),
+            Component::Ip | Component::IpShard(_) => Box::new(IpServer::new(
+                rt.start_mode(),
+                shard,
+                IpConfig {
+                    interfaces: (0..config.nics)
+                        .map(|i| IfaceConfig {
+                            mac: MacAddr::from_index(i as u8),
+                            addr: StackConfig::local_addr(i),
+                            prefix_len: 24,
+                        })
+                        .collect(),
+                    with_pf: config.with_packet_filter,
+                    checksum_offload: config.checksum_offload,
+                },
+                Arc::clone(&self.storage),
+                self.shard_pools[s].rx.clone(),
+                self.shard_pools[s].header.clone(),
+                self.pools.clone(),
+                lane.tcp_to_ip.rx(),
+                lane.ip_to_tcp.tx(),
+                lane.udp_to_ip.rx(),
+                lane.ip_to_udp.tx(),
+                lane.ip_to_pf.tx(),
+                lane.pf_to_ip.rx(),
+                lane.ip_to_drv.iter().map(Chan::tx).collect(),
+                lane.drv_to_ip.iter().map(Chan::rx).collect(),
+                self.crash_board.clone(),
+                rt.take_snapshot(),
+            )),
+            // The packet filter is a singleton with one lane set per shard.
+            Component::PacketFilter => Box::new(PacketFilterServer::new(
+                rt.start_mode(),
+                config.filter_rules.clone(),
+                Arc::clone(&self.storage),
+                self.lanes.iter().map(|l| l.ip_to_pf.rx()).collect(),
+                self.lanes.iter().map(|l| l.pf_to_ip.tx()).collect(),
+                self.lanes.iter().map(|l| l.pf_to_tcp.tx()).collect(),
+                self.lanes.iter().map(|l| l.tcp_to_pf.rx()).collect(),
+                self.lanes.iter().map(|l| l.pf_to_udp.tx()).collect(),
+                self.lanes.iter().map(|l| l.udp_to_pf.rx()).collect(),
+                rt.take_snapshot(),
+            )),
+            // The SYSCALL server is a singleton that routes every legacy call
+            // to the owning shard and pumps shard 0's rings; shards 1.. get
+            // their own ring-pump replicas.
+            Component::Syscall => Box::new(SyscallServer::new(
+                self.kernel.clone(),
+                self.registry.clone(),
+                rt.generation(),
+                Arc::clone(&self.rings),
+                self.lanes.iter().map(|l| l.sys_to_tcp.tx()).collect(),
+                self.lanes.iter().map(|l| l.tcp_to_sys.rx()).collect(),
+                self.lanes.iter().map(|l| l.sys_to_udp.tx()).collect(),
+                self.lanes.iter().map(|l| l.udp_to_sys.rx()).collect(),
+                lane.ring_to_tcp.tx(),
+                lane.tcp_to_ring.rx(),
+                self.crash_board.clone(),
+                rt.take_snapshot(),
+            )),
+            Component::SyscallShard(_) => Box::new(SyscallReplica::new(
+                s,
+                Arc::clone(&self.rings),
+                lane.ring_to_tcp.tx(),
+                lane.tcp_to_ring.rx(),
+                self.crash_board.clone(),
+            )),
+            // Driver `i` serves NIC `i` with one queue-pair lane per shard.
+            Component::Driver(i) => Box::new(DriverServer::new(
+                i,
+                Arc::clone(&self.nics[i]),
+                self.shard_pools.iter().map(|p| p.rx.clone()).collect(),
+                self.pools.clone(),
+                self.lanes.iter().map(|l| l.ip_to_drv[i].rx()).collect(),
+                self.lanes.iter().map(|l| l.drv_to_ip[i].tx()).collect(),
+                self.crash_board.clone(),
+                if config.gro {
+                    crate::driver::GRO_MAX_PAYLOAD
+                } else {
+                    0
+                },
+            )),
+        }
+    }
+}
+
+/// One service thread: the components it runs, under the name and endpoint
+/// the reincarnation server knows it by.
+struct Group {
+    name: String,
+    endpoint: Endpoint,
+    members: Vec<Component>,
+}
+
+impl Group {
+    /// A component running alone on its own thread.
+    fn alone(component: Component) -> Self {
+        Group {
+            name: component.name(),
+            endpoint: component.endpoint(),
+            members: vec![component],
+        }
+    }
+
+    /// The combined protocol server of the single-server baselines.
+    fn inet(members: Vec<Component>) -> Self {
+        Group {
+            name: "inet".to_string(),
+            endpoint: endpoints::INET,
+            members,
+        }
+    }
+}
+
+/// Groups the stack's components onto service threads, in registration
+/// order.  The split stack runs every component alone; the single-server
+/// stack combines TCP, UDP, IP and the packet filter into `inet`; the
+/// synchronous baseline runs everything in `inet`.  A combined server
+/// answers for the packet filter even when none is configured.
+fn groups(config: &StackConfig) -> Vec<Group> {
+    let pipeline = (0..config.shards).flat_map(|s| {
+        if config.shards == 1 {
+            [Component::Tcp, Component::Udp, Component::Ip]
+        } else {
+            [
+                Component::TcpShard(s),
+                Component::UdpShard(s),
+                Component::IpShard(s),
+            ]
+        }
+    });
+    let drivers = (0..config.nics).map(Component::Driver);
+    match config.topology {
+        Topology::Split => pipeline
+            .chain(config.with_packet_filter.then_some(Component::PacketFilter))
+            .chain([Component::Syscall])
+            .chain((1..config.shards).map(Component::SyscallShard))
+            .chain(drivers)
+            .map(Group::alone)
+            .collect(),
+        Topology::SingleServer => {
+            let mut groups = vec![Group::inet(
+                pipeline.chain([Component::PacketFilter]).collect(),
+            )];
+            groups.extend(
+                [Component::Syscall]
+                    .into_iter()
+                    .chain(drivers)
+                    .map(Group::alone),
+            );
+            groups
+        }
+        Topology::SynchronousSingleCore => vec![Group::inet(
+            pipeline
+                .chain([Component::PacketFilter])
+                .chain(drivers)
+                .chain([Component::Syscall])
+                .collect(),
+        )],
+    }
 }
 
 impl NewtStack {
@@ -499,13 +703,7 @@ impl NewtStack {
         } else {
             KernelIpc::new(config.cost_model)
         };
-        // Size the registry for the expected population: a handful of
-        // entries per socket per shard, rather than growing from empty
-        // under load.
-        let registry = Registry::with_capacity(64 * shards);
-        let storage = Arc::new(StorageServer::new());
         let crash_board = CrashBoard::new();
-        let pools = PoolTable::new();
         let rs = ReincarnationServer::new(clock.clone());
         {
             let board = crash_board.clone();
@@ -549,6 +747,7 @@ impl NewtStack {
         }
 
         // --- per-shard pools --------------------------------------------------
+        let pools = PoolTable::new();
         let shard_pools: Vec<ShardPools> = (0..shards)
             .map(|s| {
                 let shard = Shard::new(s, shards);
@@ -588,617 +787,95 @@ impl NewtStack {
             })
             .collect();
 
-        // --- per-shard fabric lanes -------------------------------------------
-        let lanes: Vec<ShardLanes> = (0..shards).map(|_| ShardLanes::new(config.nics)).collect();
-        let fabric_probes: Vec<Vec<newt_channels::spsc::StatsHandle>> =
-            lanes.iter().map(ShardLanes::stats_handles).collect();
-
         // Attach the SYSCALL mailbox before any service or client runs so
         // that applications started right after boot can already queue calls.
         kernel.attach(endpoints::SYSCALL);
 
-        let telemetry = Arc::new(Mutex::new(Telemetry::default()));
-        let mut component_services: HashMap<Component, Endpoint> = HashMap::new();
-
-        let ip_config = IpConfig {
-            interfaces: (0..config.nics)
-                .map(|i| IfaceConfig {
-                    mac: MacAddr::from_index(i as u8),
-                    addr: StackConfig::local_addr(i),
-                    prefix_len: 24,
-                })
-                .collect(),
-            with_pf: config.with_packet_filter,
-            checksum_offload: config.checksum_offload,
-        };
-
-        // Factory builders: `make_*_for(s)` returns the factory closure a
-        // service registration owns; the reincarnation server calls it once
-        // per incarnation.  Every topology shares these.
-        let make_tcp_for = {
-            let config = config.clone();
-            let clock = clock.clone();
-            let storage = Arc::clone(&storage);
-            let registry = registry.clone();
-            let pools = pools.clone();
-            let shard_pools = shard_pools.clone();
-            let lanes = lanes.clone();
-            let crash_board = crash_board.clone();
-            move |s: usize| {
-                let shard = Shard::new(s, shards);
-                let config = config.clone();
-                let clock = clock.clone();
-                let storage = Arc::clone(&storage);
-                let registry = registry.clone();
-                let tcp_tx_pool = shard_pools[s].tcp_tx.clone();
-                let pools = pools.clone();
-                let lane = lanes[s].clone();
-                let crash_board = crash_board.clone();
-                move |rt: &ServiceRuntime| {
-                    TcpServer::new(
-                        rt.start_mode(),
-                        rt.generation(),
-                        shard,
-                        config.tcp.clone(),
-                        clock.clone(),
-                        Arc::clone(&storage),
-                        registry.clone(),
-                        tcp_tx_pool.clone(),
-                        pools.clone(),
-                        lane.sys_to_tcp.rx(),
-                        lane.tcp_to_sys.tx(),
-                        lane.ring_to_tcp.rx(),
-                        lane.tcp_to_ring.tx(),
-                        lane.tcp_to_ip.tx(),
-                        lane.ip_to_tcp.rx(),
-                        lane.pf_to_tcp.rx(),
-                        lane.tcp_to_pf.tx(),
-                        crash_board.clone(),
-                        Arc::clone(&lane.tcp_doorbell),
-                        rt.take_snapshot(),
-                    )
-                }
-            }
-        };
-        let make_udp_for = {
-            let storage = Arc::clone(&storage);
-            let registry = registry.clone();
-            let pools = pools.clone();
-            let shard_pools = shard_pools.clone();
-            let lanes = lanes.clone();
-            let crash_board = crash_board.clone();
-            move |s: usize| {
-                let shard = Shard::new(s, shards);
-                let storage = Arc::clone(&storage);
-                let registry = registry.clone();
-                let udp_tx_pool = shard_pools[s].udp_tx.clone();
-                let pools = pools.clone();
-                let lane = lanes[s].clone();
-                let crash_board = crash_board.clone();
-                move |rt: &ServiceRuntime| {
-                    UdpServer::new(
-                        rt.start_mode(),
-                        rt.generation(),
-                        shard,
-                        Arc::clone(&storage),
-                        registry.clone(),
-                        udp_tx_pool.clone(),
-                        pools.clone(),
-                        lane.sys_to_udp.rx(),
-                        lane.udp_to_sys.tx(),
-                        lane.udp_to_ip.tx(),
-                        lane.ip_to_udp.rx(),
-                        lane.pf_to_udp.rx(),
-                        lane.udp_to_pf.tx(),
-                        crash_board.clone(),
-                        rt.take_snapshot(),
-                    )
-                }
-            }
-        };
-        let make_ip_for = {
-            let ip_config = ip_config.clone();
-            let storage = Arc::clone(&storage);
-            let pools = pools.clone();
-            let shard_pools = shard_pools.clone();
-            let lanes = lanes.clone();
-            let crash_board = crash_board.clone();
-            move |s: usize| {
-                let shard = Shard::new(s, shards);
-                let ip_config = ip_config.clone();
-                let storage = Arc::clone(&storage);
-                let rx_pool = shard_pools[s].rx.clone();
-                let header_pool = shard_pools[s].header.clone();
-                let pools = pools.clone();
-                let lane = lanes[s].clone();
-                let crash_board = crash_board.clone();
-                move |rt: &ServiceRuntime| {
-                    IpServer::new(
-                        rt.start_mode(),
-                        shard,
-                        ip_config.clone(),
-                        Arc::clone(&storage),
-                        rx_pool.clone(),
-                        header_pool.clone(),
-                        pools.clone(),
-                        lane.tcp_to_ip.rx(),
-                        lane.ip_to_tcp.tx(),
-                        lane.udp_to_ip.rx(),
-                        lane.ip_to_udp.tx(),
-                        lane.ip_to_pf.tx(),
-                        lane.pf_to_ip.rx(),
-                        lane.ip_to_drv.iter().map(|c| c.tx()).collect(),
-                        lane.drv_to_ip.iter().map(|c| c.rx()).collect(),
-                        crash_board.clone(),
-                        rt.take_snapshot(),
-                    )
-                }
-            }
-        };
-        // The packet filter is a singleton with one lane set per shard.
-        let make_pf = {
-            let rules = config.filter_rules.clone();
-            let storage = Arc::clone(&storage);
-            let lanes = lanes.clone();
-            move |rt: &ServiceRuntime| {
-                PacketFilterServer::new_sharded(
-                    rt.start_mode(),
-                    rules.clone(),
-                    Arc::clone(&storage),
-                    lanes.iter().map(|l| l.ip_to_pf.rx()).collect(),
-                    lanes.iter().map(|l| l.pf_to_ip.tx()).collect(),
-                    lanes.iter().map(|l| l.pf_to_tcp.tx()).collect(),
-                    lanes.iter().map(|l| l.tcp_to_pf.rx()).collect(),
-                    lanes.iter().map(|l| l.pf_to_udp.tx()).collect(),
-                    lanes.iter().map(|l| l.udp_to_pf.rx()).collect(),
-                    rt.take_snapshot(),
-                )
-            }
-        };
-        // The submission/completion rings live in this builder-owned table,
-        // outside every server, so they survive any component's crash or
-        // live update the same way the fabric lanes do.
-        let rings = Arc::new(RingTable::new());
-        // The SYSCALL server is a singleton that routes every legacy call to
-        // the owning shard and pumps shard 0's rings; shards 1.. get their
-        // own ring-pump replicas below.
-        let make_syscall = {
-            let kernel = kernel.clone();
-            let registry = registry.clone();
-            let rings = Arc::clone(&rings);
-            let lanes = lanes.clone();
-            let crash_board = crash_board.clone();
-            move |rt: &ServiceRuntime| {
-                SyscallServer::new_sharded(
-                    kernel.clone(),
-                    registry.clone(),
-                    rt.generation(),
-                    Arc::clone(&rings),
-                    lanes.iter().map(|l| l.sys_to_tcp.tx()).collect(),
-                    lanes.iter().map(|l| l.tcp_to_sys.rx()).collect(),
-                    lanes.iter().map(|l| l.sys_to_udp.tx()).collect(),
-                    lanes.iter().map(|l| l.udp_to_sys.rx()).collect(),
-                    lanes[0].ring_to_tcp.tx(),
-                    lanes[0].tcp_to_ring.rx(),
-                    crash_board.clone(),
-                    rt.take_snapshot(),
-                )
-            }
-        };
-        // Driver `i` serves NIC `i` with one queue-pair lane per shard.
-        let make_driver = {
-            let nics = nics.clone();
-            let pools = pools.clone();
-            let shard_pools = shard_pools.clone();
-            let lanes = lanes.clone();
-            let crash_board = crash_board.clone();
-            let gro_cap = if config.gro {
-                crate::driver::GRO_MAX_PAYLOAD
+        // Every message in a synchronous single-core multiserver costs kernel
+        // traps and context switches; its one service thread spins for the
+        // equivalent time per unit of work.
+        let message_cost =
+            if config.topology == Topology::SynchronousSingleCore && config.emulate_kernel_costs {
+                let model = config.cost_model;
+                model.cycles_to_duration(2 * model.trap_expected() as u64 + model.context_switch)
             } else {
-                0
+                Duration::ZERO
             };
-            move |index: usize| {
-                DriverServer::with_gro(
-                    index,
-                    Arc::clone(&nics[index]),
-                    shard_pools.iter().map(|p| p.rx.clone()).collect(),
-                    pools.clone(),
-                    lanes.iter().map(|l| l.ip_to_drv[index].rx()).collect(),
-                    lanes.iter().map(|l| l.drv_to_ip[index].tx()).collect(),
-                    crash_board.clone(),
-                    gro_cap,
-                )
-            }
-        };
-
-        let service_config =
-            |name: &str| ServiceConfig::new(name).heartbeat_timeout(config.heartbeat_timeout);
-
-        let with_pf = config.with_packet_filter;
-        match config.topology {
-            Topology::Split => {
-                for s in 0..shards {
-                    let shard = Shard::new(s, shards);
-                    // TCP shard s.
-                    {
-                        let make_tcp = make_tcp_for(s);
-                        let telemetry = Arc::clone(&telemetry);
-                        rs.register_with_endpoint(
-                            service_config(&shard.service_name("tcp")),
-                            shard.tcp(),
-                            move |rt| {
-                                let mut server = make_tcp(&rt);
-                                // Stats are published on working rounds only
-                                // (and once at startup), so idle spins never
-                                // touch the shared telemetry mutex.
-                                let mut published = false;
-                                let exit = run_loop(&rt, || {
-                                    let work = server.poll();
-                                    if work > 0 || !published {
-                                        published = true;
-                                        let mut t = telemetry.lock();
-                                        t.tcp_shards[s] = server.stats();
-                                        if s == 0 {
-                                            t.tcp = t.tcp_shards[0];
-                                        }
-                                    }
-                                    work
-                                });
-                                if exit == LoopExit::Update {
-                                    let (version, payload) = server.export_state();
-                                    rt.hand_over(version, payload);
-                                }
-                            },
-                        );
-                    }
-                    // UDP shard s.
-                    {
-                        let make_udp = make_udp_for(s);
-                        let telemetry = Arc::clone(&telemetry);
-                        rs.register_with_endpoint(
-                            service_config(&shard.service_name("udp")),
-                            shard.udp(),
-                            move |rt| {
-                                let mut server = make_udp(&rt);
-                                let mut published = false;
-                                let exit = run_loop(&rt, || {
-                                    let work = server.poll();
-                                    if work > 0 || !published {
-                                        published = true;
-                                        let mut t = telemetry.lock();
-                                        t.udp_shards[s] = server.stats();
-                                        if s == 0 {
-                                            t.udp = t.udp_shards[0];
-                                        }
-                                    }
-                                    work
-                                });
-                                if exit == LoopExit::Update {
-                                    let (version, payload) = server.export_state();
-                                    rt.hand_over(version, payload);
-                                }
-                            },
-                        );
-                    }
-                    // IP shard s.
-                    {
-                        let make_ip = make_ip_for(s);
-                        let telemetry = Arc::clone(&telemetry);
-                        rs.register_with_endpoint(
-                            service_config(&shard.service_name("ip")),
-                            shard.ip(),
-                            move |rt| {
-                                let mut server = make_ip(&rt);
-                                let mut published = false;
-                                let exit = run_loop(&rt, || {
-                                    let work = server.poll();
-                                    if work > 0 || !published {
-                                        published = true;
-                                        let mut t = telemetry.lock();
-                                        t.ip_shards[s] = server.stats();
-                                        if s == 0 {
-                                            t.ip = t.ip_shards[0];
-                                        }
-                                    }
-                                    work
-                                });
-                                if exit == LoopExit::Update {
-                                    let (version, payload) = server.export_state();
-                                    rt.hand_over(version, payload);
-                                }
-                            },
-                        );
-                    }
-                    if shards == 1 {
-                        component_services.insert(Component::Tcp, shard.tcp());
-                        component_services.insert(Component::Udp, shard.udp());
-                        component_services.insert(Component::Ip, shard.ip());
-                    } else {
-                        component_services.insert(Component::TcpShard(s), shard.tcp());
-                        component_services.insert(Component::UdpShard(s), shard.udp());
-                        component_services.insert(Component::IpShard(s), shard.ip());
-                    }
-                }
-                // PF (singleton).
-                if with_pf {
-                    let make_pf = make_pf.clone();
-                    let telemetry = Arc::clone(&telemetry);
-                    rs.register_with_endpoint(service_config("pf"), endpoints::PF, move |rt| {
-                        let mut server = make_pf(&rt);
-                        let mut published = false;
-                        let exit = run_loop(&rt, || {
-                            let work = server.poll();
-                            if work > 0 || !published {
-                                published = true;
-                                telemetry.lock().pf = server.stats();
-                            }
-                            work
-                        });
-                        if exit == LoopExit::Update {
-                            let (version, payload) = server.export_state();
-                            rt.hand_over(version, payload);
-                        }
-                    });
-                    component_services.insert(Component::PacketFilter, endpoints::PF);
-                }
-                // SYSCALL (singleton).
-                {
-                    let make_syscall = make_syscall.clone();
-                    let telemetry = Arc::clone(&telemetry);
-                    rs.register_with_endpoint(
-                        service_config("syscall"),
-                        endpoints::SYSCALL,
-                        move |rt| {
-                            let mut server = make_syscall(&rt);
-                            let mut published = false;
-                            let exit = run_loop(&rt, || {
-                                let work = server.poll();
-                                if work > 0 || !published {
-                                    published = true;
-                                    telemetry.lock().syscall = server.stats();
-                                }
-                                work
-                            });
-                            if exit == LoopExit::Update {
-                                let (version, payload) = server.export_state();
-                                rt.hand_over(version, payload);
-                            }
-                        },
-                    );
-                    component_services.insert(Component::Syscall, endpoints::SYSCALL);
-                }
-                // SYSCALL replicas: one ring pump per further stack shard,
-                // so submission processing scales with the stack.
-                for (k, shard_lane) in lanes.iter().enumerate().take(shards).skip(1) {
-                    let rings = Arc::clone(&rings);
-                    let lane = shard_lane.clone();
-                    let crash_board = crash_board.clone();
-                    let name = Component::SyscallShard(k).name();
-                    rs.register_with_endpoint(
-                        service_config(&name),
-                        endpoints::syscall_shard(k),
-                        move |rt| {
-                            let mut server = SyscallReplica::new(
-                                k,
-                                Arc::clone(&rings),
-                                lane.ring_to_tcp.tx(),
-                                lane.tcp_to_ring.rx(),
-                                crash_board.clone(),
-                            );
-                            let exit = run_loop(&rt, || server.poll());
-                            if exit == LoopExit::Update {
-                                let (version, payload) = server.export_state();
-                                rt.hand_over(version, payload);
-                            }
-                        },
-                    );
-                    component_services
-                        .insert(Component::SyscallShard(k), endpoints::syscall_shard(k));
-                }
-                // Drivers.
-                for i in 0..config.nics {
-                    let make_driver = make_driver.clone();
-                    let telemetry = Arc::clone(&telemetry);
-                    let name = Component::Driver(i).name();
-                    rs.register_with_endpoint(
-                        service_config(&name),
-                        endpoints::driver(i),
-                        move |rt| {
-                            let mut server = make_driver(i);
-                            let mut published = false;
-                            let exit = run_loop(&rt, || {
-                                let work = server.poll();
-                                if work > 0 || !published {
-                                    published = true;
-                                    let mut t = telemetry.lock();
-                                    t.drivers[i.min(MAX_SHARDS - 1)] = server.stats();
-                                    if i == 0 {
-                                        t.driver0 = server.stats();
-                                    }
-                                }
-                                work
-                            });
-                            if exit == LoopExit::Update {
-                                let (version, payload) = server.export_state();
-                                rt.hand_over(version, payload);
-                            }
-                        },
-                    );
-                    component_services.insert(Component::Driver(i), endpoints::driver(i));
-                }
-            }
-            Topology::SingleServer | Topology::SynchronousSingleCore => {
-                let synchronous = config.topology == Topology::SynchronousSingleCore;
-                // The combined protocol server ("inet"); always one shard.
-                {
-                    let make_tcp = make_tcp_for(0);
-                    let make_udp = make_udp_for(0);
-                    let make_ip = make_ip_for(0);
-                    let make_pf = make_pf.clone();
-                    let make_syscall = make_syscall.clone();
-                    let make_driver = make_driver.clone();
-                    let telemetry = Arc::clone(&telemetry);
-                    let nics_count = config.nics;
-                    let cost_model = config.cost_model;
-                    let emulate = config.emulate_kernel_costs;
-                    rs.register_with_endpoint(service_config("inet"), endpoints::INET, move |rt| {
-                        let mut bundle = ServerBundle {
-                            tcp: make_tcp(&rt),
-                            udp: make_udp(&rt),
-                            ip: make_ip(&rt),
-                            pf: if with_pf { Some(make_pf(&rt)) } else { None },
-                        };
-                        // In the fully synchronous baseline the drivers and the
-                        // SYSCALL server share this single core too.
-                        let mut drivers = Vec::new();
-                        let mut syscall = None;
-                        if synchronous {
-                            for i in 0..nics_count {
-                                drivers.push(make_driver(i));
-                            }
-                            syscall = Some(make_syscall(&rt));
-                        }
-                        // The combined server never hands over a snapshot —
-                        // a live update of the monolithic bundle degrades to
-                        // a graceful restart (crash-style recovery), which is
-                        // exactly the pre-split behaviour.
-                        let _ = run_loop(&rt, || {
-                            let mut work = 0;
-                            work += bundle.tcp.poll();
-                            work += bundle.udp.poll();
-                            work += bundle.ip.poll();
-                            if let Some(pf) = bundle.pf.as_mut() {
-                                work += pf.poll();
-                            }
-                            for driver in drivers.iter_mut() {
-                                work += driver.poll();
-                            }
-                            if let Some(sys) = syscall.as_mut() {
-                                work += sys.poll();
-                            }
-                            {
-                                let mut t = telemetry.lock();
-                                t.tcp = bundle.tcp.stats();
-                                t.udp = bundle.udp.stats();
-                                t.ip = bundle.ip.stats();
-                                t.tcp_shards[0] = t.tcp;
-                                t.udp_shards[0] = t.udp;
-                                t.ip_shards[0] = t.ip;
-                                if let Some(pf) = bundle.pf.as_ref() {
-                                    t.pf = pf.stats();
-                                }
-                            }
-                            if synchronous && emulate && work > 0 {
-                                // Every message in a synchronous single-core
-                                // multiserver costs kernel traps and context
-                                // switches; spin for the equivalent time.
-                                let cycles = work as u64
-                                    * (2 * cost_model.trap_expected() as u64
-                                        + cost_model.context_switch);
-                                spin_for(cost_model.cycles_to_duration(cycles));
-                            }
-                            work
-                        });
-                    });
-                    for component in [
-                        Component::Tcp,
-                        Component::Udp,
-                        Component::Ip,
-                        Component::PacketFilter,
-                    ] {
-                        component_services.insert(component, endpoints::INET);
-                    }
-                    if synchronous {
-                        component_services.insert(Component::Syscall, endpoints::INET);
-                        for i in 0..config.nics {
-                            component_services.insert(Component::Driver(i), endpoints::INET);
-                        }
-                    }
-                }
-                if !synchronous {
-                    // SYSCALL and drivers keep their own cores.
-                    {
-                        let make_syscall = make_syscall.clone();
-                        let telemetry = Arc::clone(&telemetry);
-                        rs.register_with_endpoint(
-                            service_config("syscall"),
-                            endpoints::SYSCALL,
-                            move |rt| {
-                                let mut server = make_syscall(&rt);
-                                let exit = run_loop(&rt, || {
-                                    let work = server.poll();
-                                    telemetry.lock().syscall = server.stats();
-                                    work
-                                });
-                                if exit == LoopExit::Update {
-                                    let (version, payload) = server.export_state();
-                                    rt.hand_over(version, payload);
-                                }
-                            },
-                        );
-                        component_services.insert(Component::Syscall, endpoints::SYSCALL);
-                    }
-                    for i in 0..config.nics {
-                        let make_driver = make_driver.clone();
-                        let name = Component::Driver(i).name();
-                        rs.register_with_endpoint(
-                            service_config(&name),
-                            endpoints::driver(i),
-                            move |rt| {
-                                let mut server = make_driver(i);
-                                let exit = run_loop(&rt, || server.poll());
-                                if exit == LoopExit::Update {
-                                    let (version, payload) = server.export_state();
-                                    rt.hand_over(version, payload);
-                                }
-                            },
-                        );
-                        component_services.insert(Component::Driver(i), endpoints::driver(i));
-                    }
-                }
-            }
-        }
-
-        let _ = crash_board;
-        let stack = NewtStack {
-            config,
+        let groups = groups(&config);
+        let wiring = Arc::new(Wiring {
+            lanes: (0..shards).map(|_| ShardLanes::new(config.nics)).collect(),
             clock,
             kernel,
-            registry,
-            storage,
-            rs,
+            // Size the registry for the expected population: a handful of
+            // entries per socket per shard, rather than growing from empty
+            // under load.
+            registry: Registry::with_capacity(64 * shards),
+            storage: Arc::new(StorageServer::new()),
             pools,
+            shard_pools,
+            crash_board,
+            // The submission/completion rings live here, outside every
+            // server, so they survive any component's crash or live update
+            // the same way the fabric lanes do.
+            rings: Arc::new(RingTable::new()),
+            nics,
+            telemetry: Mutex::new(Telemetry::default()),
+            config,
+        });
+
+        let mut component_services = HashMap::new();
+        for group in groups {
+            for &component in &group.members {
+                component_services.insert(component, group.endpoint);
+            }
+            // A combined server skips the packet filter it answers for when
+            // none is configured.
+            let members: Vec<Component> = group
+                .members
+                .into_iter()
+                .filter(|&c| c != Component::PacketFilter || wiring.config.with_packet_filter)
+                .collect();
+            let wiring = Arc::clone(&wiring);
+            rs.register_with_endpoint(
+                ServiceConfig::new(&group.name).heartbeat_timeout(wiring.config.heartbeat_timeout),
+                group.endpoint,
+                move |rt| {
+                    let mut servers: Vec<Box<dyn Service>> =
+                        members.iter().map(|&c| wiring.build(c, &rt)).collect();
+                    serve(&rt, &mut servers, &wiring.telemetry, message_cost);
+                },
+            );
+        }
+
+        let stack = NewtStack {
+            wiring,
+            rs,
             peers,
             peer_handles,
             links,
             peer_traces,
-            nics,
-            rings,
             component_services,
-            telemetry,
-            fabric_probes,
             next_app: AtomicU32::new(0),
         };
         // Wait until every service thread is up (in particular until the
         // SYSCALL server has attached its kernel mailbox) so that clients
         // created right after `start` never race the boot.
-        let services: Vec<Endpoint> = stack.component_services.values().copied().collect();
-        for service in services {
+        for service in stack.component_services.values() {
             stack
                 .rs
-                .wait_until_running(service, Duration::from_secs(10));
+                .wait_until_running(*service, Duration::from_secs(10));
         }
         stack
     }
 
     /// Returns the stack's configuration.
     pub fn config(&self) -> &StackConfig {
-        &self.config
+        &self.wiring.config
     }
 
     /// Returns the number of replicated stack pipelines.
     pub fn shards(&self) -> usize {
-        self.config.shards
+        self.wiring.config.shards
     }
 
     /// Returns the shard that owns a socket (derived from the id the
@@ -1209,22 +886,22 @@ impl NewtStack {
 
     /// Returns the virtual clock shared by every component.
     pub fn clock(&self) -> SimClock {
-        self.clock.clone()
+        self.wiring.clock.clone()
     }
 
     /// Returns the storage server (useful for inspecting recoverable state).
     pub fn storage(&self) -> Arc<StorageServer> {
-        Arc::clone(&self.storage)
+        Arc::clone(&self.wiring.storage)
     }
 
     /// Returns the directory of shared pools (useful for diagnostics).
     pub fn pool_table(&self) -> PoolTable {
-        self.pools.clone()
+        self.wiring.pools.clone()
     }
 
     /// Returns the shared-object registry (sockbufs, ring queues, ...).
     pub fn registry(&self) -> Registry {
-        self.registry.clone()
+        self.wiring.registry.clone()
     }
 
     /// Returns the table of submission/completion ring groups.  The table is
@@ -1232,12 +909,12 @@ impl NewtStack {
     /// every component crash and live update; benches use it to read
     /// completion-side counters.
     pub fn ring_table(&self) -> Arc<RingTable> {
-        Arc::clone(&self.rings)
+        Arc::clone(&self.wiring.rings)
     }
 
     /// Returns a handle to the simulated NIC behind interface `i`.
     pub fn nic(&self, i: usize) -> Arc<Mutex<Nic>> {
-        Arc::clone(&self.nics[i])
+        Arc::clone(&self.wiring.nics[i])
     }
 
     /// Returns the number of frames currently waiting in RX queue `queue`
@@ -1245,21 +922,21 @@ impl NewtStack {
     /// this (and [`NewtStack::nic_stats`]) — it stays meaningful however
     /// many queues the adapter runs.
     pub fn rx_queue(&self, i: usize, queue: usize) -> usize {
-        self.nics[i].lock().rx_queue_depth(queue)
+        self.wiring.nics[i].lock().rx_queue_depth(queue)
     }
 
     /// Returns the traffic counters of NIC `i` (including per-queue
     /// steering and reset counts).
     pub fn nic_stats(&self, i: usize) -> NicStats {
-        self.nics[i].lock().stats()
+        self.wiring.nics[i].lock().stats()
     }
 
     /// Creates a client handle for a new application process.
     pub fn client(&self) -> NetClient {
         let index = self.next_app.fetch_add(1, Ordering::Relaxed);
         NetClient::new(
-            self.kernel.clone(),
-            self.registry.clone(),
+            self.wiring.kernel.clone(),
+            self.wiring.registry.clone(),
             endpoints::application(index),
         )
     }
@@ -1352,9 +1029,10 @@ impl NewtStack {
     /// [`Telemetry::fabric_shards`], useful for attributing fabric traffic
     /// to individual lanes.
     pub fn fabric_lane_stats(&self, shard: usize) -> Vec<newt_channels::spsc::QueueStats> {
-        self.fabric_probes
+        self.wiring
+            .lanes
             .get(shard)
-            .map(|probes| probes.iter().map(|p| p.stats()).collect())
+            .map(ShardLanes::lane_stats)
             .unwrap_or_default()
     }
 
@@ -1381,10 +1059,10 @@ impl NewtStack {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        for i in 0..self.config.nics {
+        for i in 0..self.wiring.config.nics {
             names.push(format!("ip→drv{i}"));
         }
-        for i in 0..self.config.nics {
+        for i in 0..self.wiring.config.nics {
             names.push(format!("drv{i}→ip"));
         }
         names
@@ -1393,11 +1071,10 @@ impl NewtStack {
     /// Returns a snapshot of per-component statistics, including the
     /// fabric message counters read live from the lanes themselves.
     pub fn telemetry(&self) -> Telemetry {
-        let mut snapshot = *self.telemetry.lock();
-        for (shard, probes) in self.fabric_probes.iter().enumerate().take(MAX_SHARDS) {
+        let mut snapshot = *self.wiring.telemetry.lock();
+        for (shard, lanes) in self.wiring.lanes.iter().enumerate() {
             let mut fabric = FabricStats::default();
-            for probe in probes {
-                let queue = probe.stats();
+            for queue in lanes.lane_stats() {
                 fabric.sent += queue.enqueued;
                 fabric.received += queue.dequeued;
                 fabric.full_rejections += queue.full_rejections;
@@ -1409,7 +1086,7 @@ impl NewtStack {
 
     /// Returns the kernel-IPC counters (traps, messages, IPIs, cycles).
     pub fn kernel_stats(&self) -> KernelStats {
-        self.kernel.stats()
+        self.wiring.kernel.stats()
     }
 
     /// Returns the components present in this topology.
@@ -1461,69 +1138,6 @@ impl Drop for NewtStack {
         for handle in self.peer_handles.drain(..) {
             handle.stop();
         }
-    }
-}
-
-/// Why a service loop returned: a plain stop (shutdown or forced restart),
-/// or a live-update request after the quiesce completed — the caller should
-/// export its state and hand it to the reincarnation server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoopExit {
-    Stop,
-    Update,
-}
-
-/// The standard service loop: poll, heartbeat, idle briefly when there is no
-/// work, exit when asked to stop or to hand over for a live update.
-///
-/// On a live-update request the loop *quiesces* before returning: it runs a
-/// few more poll rounds to drain the fabric batches already parked in the
-/// SPSC queues down to a message boundary.  The drain is bounded — under
-/// load peers keep producing, and their later sends simply park in the
-/// queues until the replacement re-acquires them — so the service gap stays
-/// bounded too.
-fn run_loop<F: FnMut() -> usize>(rt: &ServiceRuntime, mut poll: F) -> LoopExit {
-    let mut idle_rounds = 0u32;
-    loop {
-        // A live update sets both flags; check the update intent first.
-        if rt.update_requested() {
-            for _ in 0..QUIESCE_ROUNDS {
-                rt.heartbeat();
-                if poll() == 0 {
-                    break;
-                }
-            }
-            return LoopExit::Update;
-        }
-        if rt.should_stop() {
-            return LoopExit::Stop;
-        }
-        rt.heartbeat();
-        let work = poll();
-        if work == 0 {
-            idle_rounds = idle_rounds.saturating_add(1);
-            if idle_rounds > 16 {
-                // The MWAIT-style idle: sleep briefly instead of burning the
-                // core.  Wake-up latency is bounded by this sleep.
-                std::thread::sleep(Duration::from_micros(200));
-            } else {
-                std::thread::yield_now();
-            }
-        } else {
-            idle_rounds = 0;
-        }
-    }
-}
-
-/// Upper bound on extra poll rounds spent quiescing before a live-update
-/// hand-over.
-const QUIESCE_ROUNDS: usize = 32;
-
-/// Spins for approximately `duration` (used to emulate kernel-IPC costs).
-fn spin_for(duration: Duration) {
-    let start = std::time::Instant::now();
-    while start.elapsed() < duration {
-        std::hint::spin_loop();
     }
 }
 
@@ -1602,8 +1216,8 @@ mod tests {
             "peer did not receive the full transfer"
         );
         let telemetry = stack.telemetry();
-        assert!(telemetry.tcp.segments_out > 0);
-        assert!(telemetry.ip.packets_out > 0);
+        assert!(telemetry.tcp_shards[0].segments_out > 0);
+        assert!(telemetry.ip_shards[0].packets_out > 0);
         stack.shutdown();
     }
 
@@ -1786,8 +1400,8 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         let after = loop {
             let t = stack.telemetry();
-            if (t.ip.parse_errors > before.ip.parse_errors
-                && t.tcp.rx_malformed > before.tcp.rx_malformed)
+            if (t.ip_shards[0].parse_errors > before.ip_shards[0].parse_errors
+                && t.tcp_shards[0].rx_malformed > before.tcp_shards[0].rx_malformed)
                 || std::time::Instant::now() >= deadline
             {
                 break t;
@@ -1796,18 +1410,22 @@ mod tests {
         };
         assert_eq!(sent, 1200);
         assert!(
-            after.ip.parse_errors > before.ip.parse_errors,
+            after.ip_shards[0].parse_errors > before.ip_shards[0].parse_errors,
             "IP must reject its share of the fuzzed frames"
         );
         assert!(
-            after.tcp.rx_malformed > before.tcp.rx_malformed,
+            after.tcp_shards[0].rx_malformed > before.tcp_shards[0].rx_malformed,
             "TCP demux must reject frames that pass IP's header checks"
         );
         // No allocation proportional to attacker input: garbage must never
         // leave embryonic connections behind or complete a handshake.
-        assert_eq!(after.tcp.half_open, 0, "fuzz left half-open state behind");
         assert_eq!(
-            after.tcp.connections_established, before.tcp.connections_established,
+            after.tcp_shards[0].half_open, 0,
+            "fuzz left half-open state behind"
+        );
+        assert_eq!(
+            after.tcp_shards[0].connections_established,
+            before.tcp_shards[0].connections_established,
             "fuzz must not materialize connections"
         );
 

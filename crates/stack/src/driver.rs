@@ -47,10 +47,12 @@ use newt_net::gro::GroEngine;
 use newt_net::nic::Nic;
 use newt_net::rss::{is_handshake_syn, MAX_QUEUES};
 
+use crate::builder::Telemetry;
 #[cfg(test)]
 use crate::fabric::drain;
 use crate::fabric::{send, CrashBoard, PoolTable, Rx, Tx};
 use crate::msg::{DrvToIp, IpToDrv};
+use crate::service::Service;
 
 /// Largest TCP payload a GRO merge may accumulate.  Sized so the merged
 /// frame (payload + ethernet/IP/TCP headers) always fits one RX pool chunk
@@ -134,33 +136,12 @@ impl DriverServer {
     /// "DMAs" that shard's frames into; `pools` resolves the chains of
     /// transmit requests.  The three per-shard vectors must have the same
     /// length (one entry for a singleton stack).
+    ///
+    /// `gro_max_payload` caps a GRO merge (`0` disables receive coalescing
+    /// entirely); it must leave a merged frame within the receive pools'
+    /// chunk size.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        index: usize,
-        nic: Arc<Mutex<Nic>>,
-        rx_pools: Vec<Pool>,
-        pools: PoolTable,
-        inboxes: Vec<Rx<IpToDrv>>,
-        outboxes: Vec<Tx<DrvToIp>>,
-        crash_board: CrashBoard,
-    ) -> Self {
-        Self::with_gro(
-            index,
-            nic,
-            rx_pools,
-            pools,
-            inboxes,
-            outboxes,
-            crash_board,
-            GRO_MAX_PAYLOAD,
-        )
-    }
-
-    /// Like [`DriverServer::new`] with an explicit GRO merge cap
-    /// (`0` disables receive coalescing entirely).  The cap must leave a
-    /// merged frame within the receive pools' chunk size.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_gro(
         index: usize,
         nic: Arc<Mutex<Nic>>,
         rx_pools: Vec<Pool>,
@@ -193,20 +174,6 @@ impl DriverServer {
         }
     }
 
-    /// Returns this driver's index.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Serializes the driver's hot state for a live update.  The payload is
-    /// an empty versioned marker: the NIC — rings, RSS/flow-director pins,
-    /// link state — lives behind the shared handle and survives the
-    /// hand-over untouched (no crash event is published, so nothing resets
-    /// it); the replacement simply re-acquires the same lanes and pools.
-    pub fn export_state(&mut self) -> (u32, Vec<u8>) {
-        (DRIVER_STATE_VERSION, Vec::new())
-    }
-
     /// Returns the number of stack shards this driver serves.
     pub fn shards(&self) -> usize {
         self.outboxes.len()
@@ -216,10 +183,21 @@ impl DriverServer {
     pub fn stats(&self) -> DriverStats {
         self.stats
     }
+}
+
+impl Service for DriverServer {
+    /// Serializes the driver's hot state for a live update.  The payload is
+    /// an empty versioned marker: the NIC — rings, RSS/flow-director pins,
+    /// link state — lives behind the shared handle and survives the
+    /// hand-over untouched (no crash event is published, so nothing resets
+    /// it); the replacement simply re-acquires the same lanes and pools.
+    fn export_state(&mut self) -> (u32, Vec<u8>) {
+        (DRIVER_STATE_VERSION, Vec::new())
+    }
 
     /// Runs one iteration of the driver's event loop and returns the amount
     /// of work done (0 means the core may idle).
-    pub fn poll(&mut self) -> usize {
+    fn poll(&mut self) -> usize {
         let mut work = 0;
 
         // React to crashes of our neighbours.
@@ -339,6 +317,12 @@ impl DriverServer {
         work
     }
 
+    fn publish(&self, telemetry: &mut Telemetry) {
+        telemetry.drivers[self.index] = self.stats();
+    }
+}
+
+impl DriverServer {
     /// Hands one transmit request's chain to the device and queues the
     /// acknowledgement for this round's completion batch.
     fn handle_transmit(&mut self, shard: usize, req: RequestId, chain: RichChain) {
@@ -447,6 +431,7 @@ mod tests {
             vec![ip_to_drv.rx()],
             vec![drv_to_ip.tx()],
             crash_board.clone(),
+            GRO_MAX_PAYLOAD,
         );
         Rig {
             driver,
@@ -665,6 +650,7 @@ mod tests {
             vec![ip_to_drv.rx()],
             vec![drv_to_ip.tx()],
             CrashBoard::new(),
+            GRO_MAX_PAYLOAD,
         );
         for _ in 0..5 {
             peer_port.transmit(sample_frame());
@@ -714,6 +700,7 @@ mod tests {
             lanes_in.iter().map(Chan::rx).collect(),
             lanes_out.iter().map(Chan::tx).collect(),
             crash_board.clone(),
+            GRO_MAX_PAYLOAD,
         );
         ShardedRig {
             driver,

@@ -33,6 +33,7 @@ use newt_net::wire::{
 };
 use std::sync::Arc;
 
+use crate::builder::Telemetry;
 use crate::endpoints;
 #[cfg(test)]
 use crate::fabric::drain;
@@ -40,6 +41,7 @@ use crate::fabric::{send, CrashBoard, PoolTable, Rx, Tx};
 use crate::msg::{
     Direction, DrvToIp, IpToDrv, IpToPf, IpToTransport, PacketMeta, PfToIp, TransportToIp,
 };
+use crate::service::Service;
 
 /// Configuration of one network interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -320,37 +322,6 @@ impl IpServer {
         server
     }
 
-    /// Serializes the hot state of this incarnation for a live update.
-    /// Nothing is freed or aborted — the pool chains and lent chunks stay
-    /// live and transfer to the replacement.
-    pub fn export_state(&mut self) -> (u32, Vec<u8>) {
-        let hot = IpHotState {
-            arp_cache: self
-                .arp_cache
-                .iter()
-                .map(|(ip, mac)| (u32::from(*ip), *mac))
-                .collect(),
-            arp_waiting: self
-                .arp_waiting
-                .iter()
-                .map(|(ip, pkts)| (u32::from(*ip), pkts.clone()))
-                .collect(),
-            lent_rx: self.lent_rx.iter().map(|(p, l)| (*p, *l)).collect(),
-            ip_ident: self.ip_ident,
-            drv_in_flight: self
-                .drv_reqs
-                .iter_pending()
-                .map(|(id, _, _, tx)| (id, tx.clone()))
-                .collect(),
-            pf_in_flight: self
-                .pf_reqs
-                .iter_pending()
-                .map(|(id, _, _, check)| (id, check.clone()))
-                .collect(),
-        };
-        (IP_STATE_VERSION, codec::encode(&hot))
-    }
-
     /// Restores the hot state handed over by the previous incarnation.
     /// Returns `false` when the snapshot belongs to another component or
     /// carries an incompatible version.
@@ -393,15 +364,43 @@ impl IpServer {
     pub fn config(&self) -> &IpConfig {
         &self.config
     }
+}
 
-    /// Returns the shard identity of this incarnation.
-    pub fn shard(&self) -> endpoints::Shard {
-        self.shard
+impl Service for IpServer {
+    /// Serializes the hot state of this incarnation for a live update.
+    /// Nothing is freed or aborted — the pool chains and lent chunks stay
+    /// live and transfer to the replacement.
+    fn export_state(&mut self) -> (u32, Vec<u8>) {
+        let hot = IpHotState {
+            arp_cache: self
+                .arp_cache
+                .iter()
+                .map(|(ip, mac)| (u32::from(*ip), *mac))
+                .collect(),
+            arp_waiting: self
+                .arp_waiting
+                .iter()
+                .map(|(ip, pkts)| (u32::from(*ip), pkts.clone()))
+                .collect(),
+            lent_rx: self.lent_rx.iter().map(|(p, l)| (*p, *l)).collect(),
+            ip_ident: self.ip_ident,
+            drv_in_flight: self
+                .drv_reqs
+                .iter_pending()
+                .map(|(id, _, _, tx)| (id, tx.clone()))
+                .collect(),
+            pf_in_flight: self
+                .pf_reqs
+                .iter_pending()
+                .map(|(id, _, _, check)| (id, check.clone()))
+                .collect(),
+        };
+        (IP_STATE_VERSION, codec::encode(&hot))
     }
 
     /// Runs one iteration of the event loop; returns the amount of work
     /// done.
-    pub fn poll(&mut self) -> usize {
+    fn poll(&mut self) -> usize {
         let mut work = 0;
 
         for event in self.crash_board.poll(&mut self.crash_cursor) {
@@ -472,6 +471,12 @@ impl IpServer {
         work
     }
 
+    fn publish(&self, telemetry: &mut Telemetry) {
+        telemetry.ip_shards[self.shard.index] = self.stats();
+    }
+}
+
+impl IpServer {
     /// Queues a filter check for this poll round's batch.
     fn queue_check(&mut self, req: RequestId, meta: PacketMeta) {
         self.check_batch.push((req, meta));

@@ -15,6 +15,8 @@
 //! * [`tcp`] / [`udp`] — the transport servers;
 //! * [`syscall`] — the POSIX front end: legacy kernel-IPC calls plus the
 //!   sharded submission/completion ring pumps;
+//! * [`service`] — the [`service::Service`] trait every server implements
+//!   and the one body that runs a server, or a group of them, on a thread;
 //! * [`posix`] — the application-side socket library;
 //! * [`rings`] — the asynchronous submission/completion queues between
 //!   applications and the stack;
@@ -53,6 +55,7 @@ pub mod msg;
 pub mod pf;
 pub mod posix;
 pub mod rings;
+pub mod service;
 pub mod sockbuf;
 pub mod syscall;
 pub mod tcp;

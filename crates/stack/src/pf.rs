@@ -24,10 +24,12 @@ use newt_kernel::rs::{StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
 use std::sync::Arc;
 
+use crate::builder::Telemetry;
 #[cfg(test)]
 use crate::fabric::drain;
 use crate::fabric::{send, Rx, Tx};
 use crate::msg::{Direction, FlowTuple, IpToPf, PacketMeta, PfToIp, PfToTransport, TransportToPf};
+use crate::service::Service;
 
 /// What a matching rule does with the packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -202,41 +204,14 @@ pub struct PacketFilterServer {
 }
 
 impl PacketFilterServer {
-    /// Creates a packet-filter incarnation.
+    /// Creates a packet-filter incarnation serving one lane set per stack
+    /// shard.
     ///
     /// On a fresh start the `configured_rules` are installed and persisted;
     /// on a restart the rules are restored from the storage server and the
     /// connection table is rebuilt by querying the transport servers.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        mode: StartMode,
-        configured_rules: Vec<FilterRule>,
-        storage: Arc<StorageServer>,
-        inbox: Rx<IpToPf>,
-        outbox: Tx<PfToIp>,
-        to_tcp: Tx<PfToTransport>,
-        from_tcp: Rx<TransportToPf>,
-        to_udp: Tx<PfToTransport>,
-        from_udp: Rx<TransportToPf>,
-    ) -> Self {
-        Self::new_sharded(
-            mode,
-            configured_rules,
-            storage,
-            vec![inbox],
-            vec![outbox],
-            vec![to_tcp],
-            vec![from_tcp],
-            vec![to_udp],
-            vec![from_udp],
-            None,
-        )
-    }
-
-    /// Creates a packet-filter incarnation serving one lane set per stack
-    /// shard (see [`PacketFilterServer::new`] for the recovery behaviour).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_sharded(
         mode: StartMode,
         configured_rules: Vec<FilterRule>,
         storage: Arc<StorageServer>,
@@ -310,19 +285,6 @@ impl PacketFilterServer {
         server
     }
 
-    /// Serializes the hot state of this incarnation for a live update.
-    pub fn export_state(&mut self) -> (u32, Vec<u8>) {
-        let hot = PfHotState {
-            rules: self.rules.clone(),
-            tracked: self
-                .tracked
-                .iter()
-                .map(|&(proto, lport, raddr, rport)| (proto, lport, u32::from(raddr), rport))
-                .collect(),
-        };
-        (PF_STATE_VERSION, codec::encode(&hot))
-    }
-
     /// Returns the filter's counters.
     pub fn stats(&self) -> PfStats {
         PfStats {
@@ -371,9 +333,24 @@ impl PacketFilterServer {
         }
         pass
     }
+}
+
+impl Service for PacketFilterServer {
+    /// Serializes the hot state of this incarnation for a live update.
+    fn export_state(&mut self) -> (u32, Vec<u8>) {
+        let hot = PfHotState {
+            rules: self.rules.clone(),
+            tracked: self
+                .tracked
+                .iter()
+                .map(|&(proto, lport, raddr, rport)| (proto, lport, u32::from(raddr), rport))
+                .collect(),
+        };
+        (PF_STATE_VERSION, codec::encode(&hot))
+    }
 
     /// Runs one iteration of the filter's event loop.
-    pub fn poll(&mut self) -> usize {
+    fn poll(&mut self) -> usize {
         let mut work = 0;
 
         // Answers from the transports while rebuilding connection tracking.
@@ -434,6 +411,12 @@ impl PacketFilterServer {
         work
     }
 
+    fn publish(&self, telemetry: &mut Telemetry) {
+        telemetry.pf = self.stats();
+    }
+}
+
+impl PacketFilterServer {
     fn track_flow(&mut self, flow: &FlowTuple) {
         if let Some((addr, port)) = flow.remote {
             self.tracked
@@ -474,7 +457,7 @@ mod tests {
         let tcp_to_pf: Chan<TransportToPf> = Chan::new(8);
         let pf_to_udp: Chan<PfToTransport> = Chan::new(8);
         let udp_to_pf: Chan<TransportToPf> = Chan::new(8);
-        let pf = PacketFilterServer::new_sharded(
+        let pf = PacketFilterServer::new(
             mode,
             rules,
             Arc::clone(&storage),

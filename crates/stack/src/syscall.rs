@@ -38,12 +38,14 @@ use newt_kernel::storage::codec;
 use newt_net::wire::IpProtocol;
 use serde::{Deserialize, Serialize};
 
+use crate::builder::Telemetry;
 use crate::endpoints;
 #[cfg(test)]
 use crate::fabric::drain;
 use crate::fabric::{send, CrashBoard, Rx, Tx};
 use crate::msg::{addr_to_word, encode_sock_error, syscalls, word_to_addr, SockReply, SockRequest};
 use crate::rings::{self, CqValue, Cqe, RingGroup, RingTable};
+use crate::service::Service;
 use crate::sockbuf::SockError;
 
 /// Counters describing SYSCALL server activity.
@@ -282,24 +284,24 @@ impl SyscallReplica {
             pump: RingPump::new(shard, rings, to_tcp, from_tcp, crash_board),
         }
     }
+}
 
-    /// Runs one iteration of the event loop; returns the amount of work
-    /// done.
-    pub fn poll(&mut self) -> usize {
-        self.pump.poll()
-    }
-
-    /// Returns the pump's counters.
-    pub fn stats(&self) -> RingPumpStats {
-        self.pump.stats()
-    }
-
+impl Service for SyscallReplica {
     /// Serializes the replica's hot state for a live update.  Everything a
     /// replica works on lives in the shared [`RingTable`], so the hand-over
     /// is an empty payload — the replacement re-attaches and continues.
-    pub fn export_state(&mut self) -> (u32, Vec<u8>) {
+    fn export_state(&mut self) -> (u32, Vec<u8>) {
         (SYSCALL_STATE_VERSION, Vec::new())
     }
+
+    /// Runs one iteration of the event loop; returns the amount of work
+    /// done.
+    fn poll(&mut self) -> usize {
+        self.pump.poll()
+    }
+
+    /// A replica's ring-pump counters are not part of the stack telemetry.
+    fn publish(&self, _telemetry: &mut Telemetry) {}
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -352,37 +354,6 @@ pub struct SyscallServer {
 }
 
 impl SyscallServer {
-    /// Creates a SYSCALL server incarnation serving a single-shard stack
-    /// and attaches it to the kernel.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        kernel: KernelIpc,
-        registry: Registry,
-        rings: Arc<RingTable>,
-        to_tcp: Tx<SockRequest>,
-        from_tcp: Rx<SockReply>,
-        to_udp: Tx<SockRequest>,
-        from_udp: Rx<SockReply>,
-        ring_to_tcp: Tx<SockRequest>,
-        tcp_to_ring: Rx<SockReply>,
-        crash_board: CrashBoard,
-    ) -> Self {
-        Self::new_sharded(
-            kernel,
-            registry,
-            Generation::FIRST,
-            rings,
-            vec![to_tcp],
-            vec![from_tcp],
-            vec![to_udp],
-            vec![from_udp],
-            ring_to_tcp,
-            tcp_to_ring,
-            crash_board,
-            None,
-        )
-    }
-
     /// Creates a SYSCALL server incarnation routing to one transport pair
     /// per stack shard and pumping shard 0's rings (`ring_to_tcp` /
     /// `tcp_to_ring` are shard 0's ring lanes).  A valid live-update
@@ -391,7 +362,7 @@ impl SyscallServer {
     /// is the call table, so a cold start *is* the crash-recovery path —
     /// ring state lives in the shared [`RingTable`] and needs no restore).
     #[allow(clippy::too_many_arguments)]
-    pub fn new_sharded(
+    pub fn new(
         kernel: KernelIpc,
         registry: Registry,
         generation: Generation,
@@ -446,20 +417,6 @@ impl SyscallServer {
         server
     }
 
-    /// Serializes the hot state of this incarnation for a live update.
-    pub fn export_state(&mut self) -> (u32, Vec<u8>) {
-        let hot = SyscallHotState {
-            next_tcp_shard: self.next_tcp_shard,
-            next_udp_shard: self.next_udp_shard,
-            pending: self
-                .pending
-                .iter_pending()
-                .map(|(id, to, _, call)| (id, to, call.app))
-                .collect(),
-        };
-        (SYSCALL_STATE_VERSION, codec::encode(&hot))
-    }
-
     /// Restores the hot state handed over by the previous incarnation.
     fn restore_from(&mut self, snapshot: &StateSnapshot) -> bool {
         if !snapshot.accepts("syscall", SYSCALL_STATE_VERSION) {
@@ -491,9 +448,25 @@ impl SyscallServer {
     pub fn ring_stats(&self) -> RingPumpStats {
         self.pump.stats()
     }
+}
+
+impl Service for SyscallServer {
+    /// Serializes the hot state of this incarnation for a live update.
+    fn export_state(&mut self) -> (u32, Vec<u8>) {
+        let hot = SyscallHotState {
+            next_tcp_shard: self.next_tcp_shard,
+            next_udp_shard: self.next_udp_shard,
+            pending: self
+                .pending
+                .iter_pending()
+                .map(|(id, to, _, call)| (id, to, call.app))
+                .collect(),
+        };
+        (SYSCALL_STATE_VERSION, codec::encode(&hot))
+    }
 
     /// Runs one iteration of the event loop; returns the amount of work done.
-    pub fn poll(&mut self) -> usize {
+    fn poll(&mut self) -> usize {
         let mut work = 0;
 
         for event in self.crash_board.poll(&mut self.crash_cursor) {
@@ -528,6 +501,12 @@ impl SyscallServer {
         work
     }
 
+    fn publish(&self, telemetry: &mut Telemetry) {
+        telemetry.syscall = self.stats();
+    }
+}
+
+impl SyscallServer {
     /// Republishes the registry entries of every existing ring group under
     /// this incarnation's generation (idempotent; a no-op when no rings
     /// were set up yet).
@@ -773,14 +752,16 @@ mod tests {
         let syscall = SyscallServer::new(
             kernel.clone(),
             registry.clone(),
+            Generation::FIRST,
             Arc::clone(&rings),
-            sys_tcp.tx(),
-            tcp_sys.rx(),
-            sys_udp.tx(),
-            udp_sys.rx(),
+            vec![sys_tcp.tx()],
+            vec![tcp_sys.rx()],
+            vec![sys_udp.tx()],
+            vec![udp_sys.rx()],
             ring_tcp.tx(),
             tcp_ring.rx(),
             crash_board.clone(),
+            None,
         );
         Rig {
             syscall,
@@ -834,7 +815,7 @@ mod tests {
         let udp_sys: Chan<SockReply> = Chan::new(16);
         let ring_tcp: Chan<SockRequest> = Chan::new(16);
         let tcp_ring: Chan<SockReply> = Chan::new(16);
-        let mut first = SyscallServer::new_sharded(
+        let mut first = SyscallServer::new(
             kernel.clone(),
             registry.clone(),
             Generation::FIRST,
@@ -869,7 +850,7 @@ mod tests {
             taken_at: Duration::ZERO,
             payload,
         };
-        let mut second = SyscallServer::new_sharded(
+        let mut second = SyscallServer::new(
             kernel.clone(),
             registry.clone(),
             Generation::FIRST.next(),

@@ -35,6 +35,7 @@ use newt_kernel::storage::{codec, StorageServer};
 use newt_net::rss::{FlowKey, RssKey, RssSteering};
 use newt_net::wire::{EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment};
 
+use crate::builder::Telemetry;
 use crate::endpoints;
 #[cfg(test)]
 use crate::fabric::drain;
@@ -44,6 +45,7 @@ use crate::msg::{
     TransportToPf,
 };
 use crate::rings;
+use crate::service::Service;
 use crate::sockbuf::{Doorbell, SockError, SocketBuffer};
 
 /// Number of slots in the hashed retransmission/ACK timer wheel.
@@ -823,11 +825,6 @@ impl TcpServer {
         self.sockets.len()
     }
 
-    /// Returns the shard identity of this incarnation.
-    pub fn shard(&self) -> endpoints::Shard {
-        self.shard
-    }
-
     // ---- recovery ----------------------------------------------------------
 
     fn recover(&mut self) {
@@ -893,64 +890,6 @@ impl TcpServer {
     }
 
     // ---- live update (quiesce / state transfer / resume) --------------------
-
-    /// Serializes this incarnation's hot state for a live-update hand-over
-    /// (the state-transfer phase): every connection block, the allocator
-    /// cursors and the in-flight sends towards IP.  Returns the snapshot
-    /// version tag and the encoded payload.
-    ///
-    /// Called after the quiesce drain, so the fabric queues are at a message
-    /// boundary; nothing is emitted and nothing is freed — the shared TX
-    /// pool, socket buffers and NIC flow-director pins all outlive the
-    /// incarnation.
-    pub fn export_state(&mut self) -> (u32, Vec<u8>) {
-        let sockets = self
-            .sockets
-            .values()
-            .map(|s| HotSock {
-                id: s.id,
-                state: s.state,
-                local_port: s.local_port,
-                remote: s.remote.map(|(a, p)| (u32::from(a), p)),
-                snd_una: s.snd_una,
-                snd_nxt: s.snd_nxt,
-                unacked: s.unacked.to_vec(),
-                peer_window: s.peer_window,
-                cwnd: s.cwnd,
-                ssthresh: s.ssthresh,
-                dup_acks: s.dup_acks,
-                rto: s.rto,
-                rto_deadline: s.rto_deadline,
-                rcv_nxt: s.rcv_nxt,
-                backlog: s.backlog.clone(),
-                pending_accepts: s.pending_accepts.clone(),
-                backlog_limit: s.backlog_limit,
-                sharded_listener: s.sharded_listener,
-                accept_watch: s.accept_watch,
-                child_send_cap: s.child_send_cap,
-                child_recv_cap: s.child_recv_cap,
-                pending_connect: s.pending_connect,
-                close_requested: s.close_requested,
-                fin_sent: s.fin_sent,
-                mss: s.mss,
-                ack_pending: s.ack_pending,
-                segs_since_ack: s.segs_since_ack,
-            })
-            .collect();
-        let in_flight = self
-            .ip_reqs
-            .iter_pending()
-            .map(|(id, _, _, pending)| (id, pending.clone()))
-            .collect();
-        let hot = TcpHotState {
-            next_sock: self.next_sock,
-            next_ephemeral: self.next_ephemeral,
-            isn_counter: self.isn_counter,
-            sockets,
-            in_flight,
-        };
-        (TCP_STATE_VERSION, codec::encode(&hot))
-    }
 
     /// Restores from a predecessor's snapshot (the resume phase of a live
     /// update).  Re-attaches every socket's shared buffer and doorbell,
@@ -1150,6 +1089,66 @@ impl TcpServer {
     }
 
     // ---- main loop ----------------------------------------------------------
+}
+
+impl Service for TcpServer {
+    /// Serializes this incarnation's hot state for a live-update hand-over
+    /// (the state-transfer phase): every connection block, the allocator
+    /// cursors and the in-flight sends towards IP.  Returns the snapshot
+    /// version tag and the encoded payload.
+    ///
+    /// Called after the quiesce drain, so the fabric queues are at a message
+    /// boundary; nothing is emitted and nothing is freed — the shared TX
+    /// pool, socket buffers and NIC flow-director pins all outlive the
+    /// incarnation.
+    fn export_state(&mut self) -> (u32, Vec<u8>) {
+        let sockets = self
+            .sockets
+            .values()
+            .map(|s| HotSock {
+                id: s.id,
+                state: s.state,
+                local_port: s.local_port,
+                remote: s.remote.map(|(a, p)| (u32::from(a), p)),
+                snd_una: s.snd_una,
+                snd_nxt: s.snd_nxt,
+                unacked: s.unacked.to_vec(),
+                peer_window: s.peer_window,
+                cwnd: s.cwnd,
+                ssthresh: s.ssthresh,
+                dup_acks: s.dup_acks,
+                rto: s.rto,
+                rto_deadline: s.rto_deadline,
+                rcv_nxt: s.rcv_nxt,
+                backlog: s.backlog.clone(),
+                pending_accepts: s.pending_accepts.clone(),
+                backlog_limit: s.backlog_limit,
+                sharded_listener: s.sharded_listener,
+                accept_watch: s.accept_watch,
+                child_send_cap: s.child_send_cap,
+                child_recv_cap: s.child_recv_cap,
+                pending_connect: s.pending_connect,
+                close_requested: s.close_requested,
+                fin_sent: s.fin_sent,
+                mss: s.mss,
+                ack_pending: s.ack_pending,
+                segs_since_ack: s.segs_since_ack,
+            })
+            .collect();
+        let in_flight = self
+            .ip_reqs
+            .iter_pending()
+            .map(|(id, _, _, pending)| (id, pending.clone()))
+            .collect();
+        let hot = TcpHotState {
+            next_sock: self.next_sock,
+            next_ephemeral: self.next_ephemeral,
+            isn_counter: self.isn_counter,
+            sockets,
+            in_flight,
+        };
+        (TCP_STATE_VERSION, codec::encode(&hot))
+    }
 
     /// Runs one iteration of the event loop; returns the amount of work done.
     ///
@@ -1158,7 +1157,7 @@ impl TcpServer {
     /// socket on the ready list, and only the ready list is pumped — the
     /// hundreds of idle keep-alive connections a loaded HTTP server holds
     /// open cost nothing.
-    pub fn poll(&mut self) -> usize {
+    fn poll(&mut self) -> usize {
         let mut work = 0;
 
         for event in self.crash_board.poll(&mut self.crash_cursor) {
@@ -1220,6 +1219,12 @@ impl TcpServer {
         work
     }
 
+    fn publish(&self, telemetry: &mut Telemetry) {
+        telemetry.tcp_shards[self.shard.index] = self.stats();
+    }
+}
+
+impl TcpServer {
     // ---- O(active) scheduling --------------------------------------------------
 
     /// Queues a socket for pumping (idempotent while it is queued).

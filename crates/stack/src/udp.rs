@@ -28,6 +28,7 @@ use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
 use newt_net::wire::{EthernetFrame, IpProtocol, Ipv4Packet, UdpDatagram, UDP_HEADER_LEN};
 
+use crate::builder::Telemetry;
 use crate::endpoints;
 #[cfg(test)]
 use crate::fabric::drain;
@@ -36,6 +37,7 @@ use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
+use crate::service::Service;
 use crate::sockbuf::{SockError, SocketBuffer};
 
 /// A decoded datagram record: source address, source port, payload.
@@ -255,33 +257,6 @@ impl UdpServer {
         server
     }
 
-    /// Serializes the hot state of this incarnation for a live update:
-    /// socket table with partial send records, allocation cursors, and
-    /// in-flight requests towards IP.  Nothing is freed or aborted — the
-    /// pool chains stay live and transfer to the replacement.
-    pub fn export_state(&mut self) -> (u32, Vec<u8>) {
-        let hot = UdpHotState {
-            next_sock: self.next_sock,
-            next_ephemeral: self.next_ephemeral,
-            sockets: self
-                .sockets
-                .values()
-                .map(|s| HotUdpSock {
-                    id: s.id,
-                    local_port: s.local_port,
-                    remote: s.remote.map(|(a, p)| (u32::from(a), p)),
-                    pending_send: s.pending_send.clone(),
-                })
-                .collect(),
-            in_flight: self
-                .ip_reqs
-                .iter_pending()
-                .map(|(id, _, _, chain)| (id, chain.clone()))
-                .collect(),
-        };
-        (UDP_STATE_VERSION, codec::encode(&hot))
-    }
-
     /// Restores the hot state handed over by the previous incarnation.
     /// Returns `false` when the snapshot belongs to another component or
     /// carries an incompatible version, in which case the caller falls
@@ -377,11 +352,6 @@ impl UdpServer {
         self.sockets.len()
     }
 
-    /// Returns the shard identity of this incarnation.
-    pub fn shard(&self) -> endpoints::Shard {
-        self.shard
-    }
-
     /// Picks the next ephemeral port from this shard's slice that no
     /// socket currently holds and advances the cursor past it.  Returns
     /// `None` when the whole slice is occupied — handing out an in-use
@@ -423,9 +393,38 @@ impl UdpServer {
             })
             .collect()
     }
+}
+
+impl Service for UdpServer {
+    /// Serializes the hot state of this incarnation for a live update:
+    /// socket table with partial send records, allocation cursors, and
+    /// in-flight requests towards IP.  Nothing is freed or aborted — the
+    /// pool chains stay live and transfer to the replacement.
+    fn export_state(&mut self) -> (u32, Vec<u8>) {
+        let hot = UdpHotState {
+            next_sock: self.next_sock,
+            next_ephemeral: self.next_ephemeral,
+            sockets: self
+                .sockets
+                .values()
+                .map(|s| HotUdpSock {
+                    id: s.id,
+                    local_port: s.local_port,
+                    remote: s.remote.map(|(a, p)| (u32::from(a), p)),
+                    pending_send: s.pending_send.clone(),
+                })
+                .collect(),
+            in_flight: self
+                .ip_reqs
+                .iter_pending()
+                .map(|(id, _, _, chain)| (id, chain.clone()))
+                .collect(),
+        };
+        (UDP_STATE_VERSION, codec::encode(&hot))
+    }
 
     /// Runs one iteration of the event loop; returns the amount of work done.
-    pub fn poll(&mut self) -> usize {
+    fn poll(&mut self) -> usize {
         let mut work = 0;
 
         for event in self.crash_board.poll(&mut self.crash_cursor) {
@@ -489,6 +488,12 @@ impl UdpServer {
         work
     }
 
+    fn publish(&self, telemetry: &mut Telemetry) {
+        telemetry.udp_shards[self.shard.index] = self.stats();
+    }
+}
+
+impl UdpServer {
     fn handle_sock_request(&mut self, request: SockRequest) {
         let req = request.req();
         match request {

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use newtos::net::peer::{DNS_PORT, IPERF_PORT, SSH_PORT};
 use newtos::net::pktgen::PayloadPattern;
-use newtos::{NewtStack, StackConfig};
+use newtos::{NewtStack, StackConfig, Topology};
 use newtos_suite::{test_config, wait_for};
 
 #[test]
@@ -34,8 +34,8 @@ fn bulk_transfer_delivers_every_byte_in_order() {
     // no reordering at the application level.
     assert_eq!(stack.peer(0).bytes_received_on(IPERF_PORT), TOTAL as u64);
     let telemetry = stack.telemetry();
-    assert!(telemetry.tcp.segments_out > 0);
-    assert!(telemetry.ip.packets_out as u64 >= telemetry.tcp.segments_out / 2);
+    assert!(telemetry.tcp_shards[0].segments_out > 0);
+    assert!(telemetry.ip_shards[0].packets_out as u64 >= telemetry.tcp_shards[0].segments_out / 2);
     assert!(
         telemetry.pf.checked > 0,
         "the packet filter must sit on the data path"
@@ -167,10 +167,51 @@ fn telemetry_and_kernel_stats_reflect_traffic() {
         "socket/connect calls must use kernel IPC"
     );
     assert!(
-        telemetry.tcp.segments_out > kernel.messages,
+        telemetry.tcp_shards[0].segments_out > kernel.messages,
         "the data path must not be kernel-IPC bound (segments {} vs kernel messages {})",
-        telemetry.tcp.segments_out,
+        telemetry.tcp_shards[0].segments_out,
         kernel.messages
     );
     stack.shutdown();
+}
+
+/// Every topology publishes every server's counters, whether the server runs
+/// alone or grouped with others onto one combined thread: after a transfer,
+/// TCP, the driver and SYSCALL all show its traffic.
+#[test]
+fn every_topology_publishes_tcp_driver_and_syscall_counters() {
+    for topology in [
+        Topology::Split,
+        Topology::SingleServer,
+        Topology::SynchronousSingleCore,
+    ] {
+        let stack = NewtStack::start(test_config().topology(topology));
+        let client = stack.client().with_timeout(Duration::from_secs(20));
+        let socket = client.tcp_socket().expect("socket");
+        socket
+            .connect(StackConfig::peer_addr(0), IPERF_PORT)
+            .expect("connect");
+        socket.send_all(&vec![0u8; 64 * 1024]).expect("send");
+        assert!(
+            wait_for(
+                || stack.peer(0).bytes_received_on(IPERF_PORT) >= 64 * 1024,
+                Duration::from_secs(60)
+            ),
+            "{topology:?}: the peer did not receive the transfer"
+        );
+        let telemetry = stack.telemetry();
+        assert!(
+            telemetry.tcp_shards[0].segments_out > 0,
+            "{topology:?}: no TCP counters published"
+        );
+        assert!(
+            telemetry.drivers[0].tx_requests > 0,
+            "{topology:?}: no driver counters published"
+        );
+        assert!(
+            telemetry.syscall.calls > 0,
+            "{topology:?}: no SYSCALL counters published"
+        );
+        stack.shutdown();
+    }
 }
