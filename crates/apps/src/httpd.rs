@@ -23,14 +23,14 @@
 //! connections surface errors and are dropped, and clients reconnect
 //! (see `newt_apps::loadgen`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use newt_stack::posix::{NetClient, RingHandle, TcpSocket};
-use newt_stack::rings::{interest_bits, Sqe, SqeOp};
+use newt_stack::posix::{NetClient, RingHandle};
+use newt_stack::rings::{interest_bits, CqValue, Sqe, SqeOp};
 use newt_stack::sockbuf::SockError;
 use newt_stack::SimClock;
 
@@ -55,7 +55,7 @@ pub struct HttpdConfig {
     pub header_deadline: Duration,
     /// Admission watermark: beyond this many open connections new
     /// arrivals are shed with `503` + `Connection: close`, and past a
-    /// 25 % overshoot the accept loop pauses entirely (0 = unlimited).
+    /// 25 % overshoot admission pauses entirely (0 = unlimited).
     pub max_connections: usize,
     /// Clock for the header deadline (virtual time, so campaigns at a
     /// clock speed-up measure the knobs they configured).  `None`
@@ -118,8 +118,8 @@ pub struct HttpdStats {
     pub shed_503: u64,
     /// Connections killed by the header-read deadline (slow loris).
     pub loris_kills: u64,
-    /// Loop passes in which the accept drain was paused because the
-    /// connection table sat past the hard admission cap.
+    /// Loop passes in which admission was paused because the connection
+    /// table sat past the hard admission cap.
     pub accept_paused: u64,
 }
 
@@ -357,14 +357,17 @@ impl Httpd {
     /// [`NetClient::ring`] can return (the listeners and rings are set up
     /// synchronously, so a returned `Httpd` is already serving).
     pub fn spawn(client: NetClient, shards: usize, config: HttpdConfig) -> Result<Self, SockError> {
-        let client = client.nonblocking();
-        let listeners = client.listen_sharded_with_caps(
-            config.port,
-            config.backlog,
-            shards,
-            config.send_cap,
-            config.recv_cap,
-        )?;
+        let listeners: Vec<u64> = client
+            .listen_sharded_with_caps(
+                config.port,
+                config.backlog,
+                shards,
+                config.send_cap,
+                config.recv_cap,
+            )?
+            .iter()
+            .map(|listener| listener.id())
+            .collect();
         let ring = client.ring()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(SharedStats::default());
@@ -469,7 +472,7 @@ fn settle(
 
 fn run_event_loop(
     ring: &Arc<RingHandle>,
-    listeners: &[TcpSocket],
+    listeners: &[u64],
     stop: &AtomicBool,
     stats: &SharedStats,
     config: &HttpdConfig,
@@ -477,9 +480,16 @@ fn run_event_loop(
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut cqes = Vec::new();
     let mut pending_close: Vec<u64> = Vec::new();
-    // Admission control: shed with 503 past the watermark, stop draining
-    // accepts entirely past a 25 % overshoot (the backlog and the TCP
-    // half-open cap absorb the rest).
+    // Listeners without a live multishot accept arm — all of them at
+    // start-up.  Each arm is tagged with its listener's socket id.
+    let mut unarmed: Vec<u64> = listeners.to_vec();
+    // Connections the arms delivered that are not yet admitted, in
+    // arrival order.
+    let mut accepted: VecDeque<u64> = VecDeque::new();
+    // Admission control: shed with 503 past the watermark, stop admitting
+    // entirely past a 25 % overshoot.  The arms keep draining TCP's
+    // backlog meanwhile, so paused connections wait, fully established,
+    // in `accepted` until the table shrinks below the hard cap.
     let soft_cap = config.max_connections;
     let hard_cap = soft_cap + soft_cap / 4;
     // Slow-loris sweep bookkeeping (virtual time).
@@ -488,29 +498,32 @@ fn run_event_loop(
     let mut victims: Vec<u64> = Vec::new();
     while !stop.load(Ordering::Acquire) {
         let now = config.clock.as_ref().map(SimClock::now);
-        // Accept until every arm's deliveries are drained.  The multishot
-        // accept arms wake the completion queue, so a parked loop learns
-        // about new connections without polling; a restarting TCP shard
-        // surfaces transient errors which the shim self-heals from.
+        // (Re-)arm; a full submission queue leaves the listener unarmed
+        // for the next pass (backpressure, like `pending_close`).
+        unarmed.retain(|&listener| {
+            ring.submit(Sqe {
+                user_data: listener,
+                op: SqeOp::AcceptArm { listener },
+            })
+            .is_err()
+        });
+
+        // Admit the accepted connections, in order, up to the hard cap.
         let mut paused = false;
-        'accepting: for listener in listeners {
-            loop {
-                if soft_cap > 0 && conns.len() >= hard_cap {
-                    paused = true;
-                    break 'accepting;
-                }
-                let Ok(Some((sock, _addr, _port))) = listener.accept_nb() else {
-                    break;
-                };
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                // The ring handle owns the data path from here on; the
-                // accepted TcpSocket wrapper is no longer needed.
-                let mut conn = Conn::new(sock.id());
-                if soft_cap > 0 && conns.len() >= soft_cap {
-                    conn.shed(stats);
-                }
-                settle(&mut conns, conn, ring, stats, &mut pending_close, now);
+        loop {
+            if soft_cap > 0 && conns.len() >= hard_cap {
+                paused = true;
+                break;
             }
+            let Some(sock) = accepted.pop_front() else {
+                break;
+            };
+            stats.connections.fetch_add(1, Ordering::Relaxed);
+            let mut conn = Conn::new(sock);
+            if soft_cap > 0 && conns.len() >= soft_cap {
+                conn.shed(stats);
+            }
+            settle(&mut conns, conn, ring, stats, &mut pending_close, now);
         }
         if paused {
             stats.accept_paused.fetch_add(1, Ordering::Relaxed);
@@ -547,13 +560,20 @@ fn run_event_loop(
                 .fetch_add(cqes.len() as u64, Ordering::Relaxed);
         }
         for cqe in cqes.drain(..) {
-            // Readiness watches carry the socket id as their tag; a
-            // completion for an already-closed socket (e.g. its Close
-            // confirmation) finds no entry and is dropped here.
-            let Some(conn) = conns.remove(&cqe.user_data) else {
-                continue;
-            };
-            settle(&mut conns, conn, ring, stats, &mut pending_close, now);
+            match cqe.result {
+                Ok(CqValue::Accepted { sock, .. }) => accepted.push_back(sock),
+                // An error on a listener's tag ends its arm (e.g. the
+                // listener was lost with its TCP shard): re-arm next pass.
+                Err(_) if listeners.contains(&cqe.user_data) => unarmed.push(cqe.user_data),
+                // Readiness watches carry the socket id as their tag; a
+                // completion for an already-closed socket (e.g. its Close
+                // confirmation) finds no entry and is dropped here.
+                _ => {
+                    if let Some(conn) = conns.remove(&cqe.user_data) {
+                        settle(&mut conns, conn, ring, stats, &mut pending_close, now);
+                    }
+                }
+            }
         }
 
         // Retry closes the submission queue rejected earlier.

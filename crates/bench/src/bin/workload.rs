@@ -93,13 +93,6 @@ struct Sample {
     tx_copies: u64,
 }
 
-/// `NEWT_WORKLOAD_LEGACY_RX=1` turns the receive fast path off (no GRO, no
-/// delayed ACKs) to reproduce the pre-fast-path messages-per-request
-/// baseline; gates are skipped and `BENCH_workload.json` is left untouched.
-fn legacy_rx() -> bool {
-    std::env::var_os("NEWT_WORKLOAD_LEGACY_RX").is_some()
-}
-
 fn bench_config(shards: usize, impaired: bool) -> StackConfig {
     let link = if impaired {
         LinkConfig::impaired()
@@ -109,18 +102,13 @@ fn bench_config(shards: usize, impaired: bool) -> StackConfig {
         // the scaling bench's delay link.
         LinkConfig::gigabit().propagation(CLEAN_ONE_WAY_DELAY)
     };
-    let mut config = StackConfig::newtos()
+    StackConfig::newtos()
         .shards(shards)
         .link(link)
         // Mild speed-up: virtual TCP timers (200 ms RTO) elapse fast on
         // the impaired runs while host scheduling noise stays small next
         // to the 10 ms virtual RTT of the clean link.
-        .clock_speedup(2.0);
-    if legacy_rx() {
-        config = config.gro(false);
-        config.tcp.delayed_ack = Duration::ZERO;
-    }
-    config
+        .clock_speedup(2.0)
 }
 
 fn run_point(shards: usize, impaired: bool, connections: usize) -> Sample {
@@ -245,13 +233,6 @@ fn main() {
             );
             samples.push(sample);
         }
-    }
-
-    if legacy_rx() {
-        println!(
-            "\nNEWT_WORKLOAD_LEGACY_RX set: baseline measurement only, no record written, no gates"
-        );
-        return;
     }
 
     // The regression gates read the previous (checked-in) record before it

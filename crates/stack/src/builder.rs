@@ -97,10 +97,6 @@ pub struct StackConfig {
     pub tso: bool,
     /// Whether checksum offload is enabled.
     pub checksum_offload: bool,
-    /// Whether the drivers coalesce consecutive in-order TCP segments of a
-    /// flow into one oversized deliver message (GRO).  Off reproduces the
-    /// one-message-per-MTU-frame receive path for A/B measurements.
-    pub gro: bool,
     /// Whether the packet filter sits next to IP.
     pub with_packet_filter: bool,
     /// Rules installed into the packet filter at boot.
@@ -128,7 +124,6 @@ impl Default for StackConfig {
             shards: 1,
             tso: true,
             checksum_offload: true,
-            gro: true,
             with_packet_filter: true,
             filter_rules: Vec::new(),
             link: LinkConfig::gigabit(),
@@ -190,13 +185,6 @@ impl StackConfig {
     pub fn tso(mut self, tso: bool) -> Self {
         self.tso = tso;
         self.tcp.tso = tso;
-        self
-    }
-
-    /// Enables or disables receive coalescing (GRO) in the drivers.
-    #[must_use]
-    pub fn gro(mut self, gro: bool) -> Self {
-        self.gro = gro;
         self
     }
 
@@ -597,11 +585,7 @@ impl Wiring {
                 self.lanes.iter().map(|l| l.ip_to_drv[i].rx()).collect(),
                 self.lanes.iter().map(|l| l.drv_to_ip[i].tx()).collect(),
                 self.crash_board.clone(),
-                if config.gro {
-                    crate::driver::GRO_MAX_PAYLOAD
-                } else {
-                    0
-                },
+                crate::driver::GRO_MAX_PAYLOAD,
             )),
         }
     }

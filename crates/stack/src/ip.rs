@@ -672,14 +672,20 @@ impl IpServer {
                 // one allocation per forged SYN.
                 let dest_count = self.arp_waiting.len();
                 let queue_len = self.arp_waiting.get(&pkt.dst).map_or(0, Vec::len);
-                if queue_len >= Self::ARP_WAITING_PKTS
-                    || (queue_len == 0 && dest_count >= Self::ARP_WAITING_DESTS)
-                {
+                let new_dest_over_cap = queue_len == 0 && dest_count >= Self::ARP_WAITING_DESTS;
+                if !new_dest_over_cap {
+                    // Re-ask even when the packet is dropped below: the
+                    // requests already sent may have been lost (an
+                    // adapter reset fails every transmit in flight), and
+                    // a full queue must not silence the destination's
+                    // retransmissions for good.
+                    self.send_arp_request(pkt.dst, iface);
+                }
+                if new_dest_over_cap || queue_len >= Self::ARP_WAITING_PKTS {
                     self.stats.arp_overflow += 1;
                     self.notify_send_done(pkt.origin, false);
                     return;
                 }
-                self.send_arp_request(pkt.dst, iface);
                 self.arp_waiting.entry(pkt.dst).or_default().push(pkt);
             }
         }
@@ -1363,6 +1369,25 @@ mod tests {
         );
         rig.ip.poll();
         req
+    }
+
+    #[test]
+    fn a_full_arp_queue_keeps_asking_for_its_destination() {
+        let mut rig = rig(false);
+        for _ in 0..IpServer::ARP_WAITING_PKTS {
+            park_syn_on_arp(&mut rig);
+        }
+        // Suppose every request so far was lost: the next packet towards
+        // the destination is dropped on the full queue, but still asks.
+        let asked = transmits_in(&drain(&rig.ip_to_drv)).len();
+        assert_eq!(asked, IpServer::ARP_WAITING_PKTS);
+        park_syn_on_arp(&mut rig);
+        assert_eq!(rig.ip.stats().arp_overflow, 1);
+        let to_driver = transmits_in(&drain(&rig.ip_to_drv));
+        assert_eq!(to_driver.len(), 1, "a dropped packet must still re-ask");
+        let frame = rig.pools.gather(&to_driver[0].1).unwrap();
+        let eth = EthernetFrame::parse(&frame).unwrap();
+        assert_eq!(eth.ethertype, EtherType::Arp);
     }
 
     #[test]

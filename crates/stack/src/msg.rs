@@ -271,14 +271,6 @@ pub enum SockRequest {
         /// (0 = the transport's default).
         recv_cap: u32,
     },
-    /// Accept a connection from a listening socket's backlog (replied when
-    /// one is available).
-    Accept {
-        /// Request identifier.
-        req: RequestId,
-        /// The listening socket.
-        sock: SockId,
-    },
     /// Arm a *multishot* accept on a listening socket (the ring path):
     /// every connection entering the backlog is answered immediately
     /// with [`SockReply::Accepted`] carrying this request id, until the
@@ -320,7 +312,6 @@ impl SockRequest {
             SockRequest::Open { req }
             | SockRequest::Bind { req, .. }
             | SockRequest::Listen { req, .. }
-            | SockRequest::Accept { req, .. }
             | SockRequest::AcceptArm { req, .. }
             | SockRequest::Connect { req, .. }
             | SockRequest::Close { req, .. } => *req,
@@ -333,7 +324,6 @@ impl SockRequest {
             SockRequest::Open { .. } => None,
             SockRequest::Bind { sock, .. }
             | SockRequest::Listen { sock, .. }
-            | SockRequest::Accept { sock, .. }
             | SockRequest::AcceptArm { sock, .. }
             | SockRequest::Connect { sock, .. }
             | SockRequest::Close { sock, .. } => Some(*sock),
@@ -401,8 +391,6 @@ pub mod syscalls {
     pub const BIND: u32 = 2;
     /// listen(sock, backlog) — word0: socket, word1: backlog.
     pub const LISTEN: u32 = 3;
-    /// accept(sock) — word0: socket.
-    pub const ACCEPT: u32 = 4;
     /// connect(sock, addr, port) — word0: socket, word1: address, word2: port.
     pub const CONNECT: u32 = 5;
     /// close(sock) — word0: socket.
@@ -411,8 +399,8 @@ pub mod syscalls {
     /// with the stack's shard count in word0, after which the rings are
     /// attachable from the registry under `ring/<app>/...`.  Idempotent:
     /// calling again for the same application returns the same rings.
-    /// (Message types 7/8 were the retired per-call `POLL`/`ACCEPT_NB`
-    /// round trips, now served by the rings.)
+    /// (Message types 4/7/8 were the retired per-call `ACCEPT`/`POLL`/
+    /// `ACCEPT_NB` round trips, now served by the rings.)
     pub const RING_SETUP: u32 = 9;
     /// listen() flag (word2): `SO_REUSEPORT`-style sharded listener.
     pub const LISTEN_FLAG_SHARDED: u64 = 1;

@@ -6,42 +6,31 @@
 //! [`crate::rings`]).  Socket operations are ring entries, not kernel
 //! round trips:
 //!
-//! * `Send`/`Recv`/`PollArm` complete **inline** on the client side
-//!   against the shared [`SocketBuffer`] — zero fabric messages;
+//! * sends, receives and readiness watches complete **inline** on the
+//!   client side against the shared [`SocketBuffer`] — zero fabric
+//!   messages;
 //! * `AcceptArm` is **multishot**: one submission yields a completion per
 //!   accepted connection for the lifetime of the listener;
 //! * `Close` is forwarded to the owning TCP shard in batches by the
 //!   SYSCALL server's ring pump.
 //!
-//! The raw ring interface is [`RingHandle`] (obtained from
-//! [`NetClient::ring`]); the classic POSIX calls below are retained as
-//! thin shims over it.  Only *control* calls that create or dismantle
+//! The ring interface is [`RingHandle`] (obtained from
+//! [`NetClient::ring`]); it is the only way to accept connections.  A
+//! server submits one multishot `AcceptArm` per listener, arms readiness
+//! watches, drains the completion queue and touches only the sockets
+//! that completed — the `newt-apps` HTTP server holds 100 000
+//! connections this way.  Only *control* calls that create or dismantle
 //! kernel-visible state (socket, bind, listen, connect, close) still
 //! travel as synchronous kernel IPC to the SYSCALL server.
 //!
-//! # Blocking, non-blocking and polling
+//! # Blocking and non-blocking
 //!
-//! Every blocking operation is bounded by the client's **real-time**
-//! timeout ([`NetClient::with_timeout`]).  A **zero** timeout puts the
-//! client in non-blocking mode: data operations return
-//! [`SockError::WouldBlock`] instead of waiting, and [`TcpSocket::accept`]
-//! degrades to the non-blocking [`TcpSocket::accept_nb`].  On top of that
-//! the library offers a `poll(2)`-style readiness API so one thread can
-//! multiplex hundreds of sockets:
-//!
-//! * [`TcpSocket::readiness`] — recv-buffer data, send-buffer space,
-//!   hang-up and pending errors, read **locally** from the shared buffer
-//!   (no SYSCALL round trip, like the data path itself);
-//! * [`TcpSocket::accept_ready`] — listen-backlog readiness, answered
-//!   locally from the ring's multishot accept completions;
-//! * [`NetClient::poll`] — waits on a set of sockets until any is ready.
-//!
-//! Applications that need more than hundreds of sockets (the `newt-apps`
-//! HTTP server holds 100 000) skip the shims and drive the
-//! [`RingHandle`] directly: arm readiness watches, drain the completion
-//! queue, touch only the sockets that completed.
+//! The [`TcpSocket`] and [`UdpSocket`] data calls are bounded by the
+//! client's **real-time** timeout ([`NetClient::with_timeout`]).  A
+//! **zero** timeout puts the client in non-blocking mode: data operations
+//! return [`SockError::WouldBlock`] instead of waiting.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -56,8 +45,8 @@ use newt_net::wire::IpProtocol;
 
 use crate::endpoints;
 use crate::msg::{addr_to_word, decode_sock_error, syscalls, SockId};
-use crate::rings::{self, CompletionQueue, CqValue, Cqe, Sqe, SqeOp, SubmissionRing};
-use crate::sockbuf::{Readiness, ReadyWatch, SockError, SocketBuffer};
+use crate::rings::{self, CompletionQueue, Cqe, Sqe, SqeOp, SubmissionRing};
+use crate::sockbuf::{ReadyWatch, SockError, SocketBuffer};
 use crate::udp::{decode_datagram, encode_datagram};
 
 /// Fallback real-time bound for *control* calls (socket, bind, listen,
@@ -65,13 +54,6 @@ use crate::udp::{decode_datagram, encode_datagram};
 /// the kernel round trip itself can never be zero-timeout, only the
 /// data-plane waits can.
 const CONTROL_TIMEOUT_FLOOR: Duration = Duration::from_secs(10);
-
-/// The `user_data` bit reserved for the library's internal shims (the
-/// multishot accept arms behind [`TcpSocket::accept`]).  [`RingHandle`]
-/// rejects application submissions whose tag carries this bit with
-/// [`SockError::InvalidState`], so shim completions can never be
-/// confused with application completions.
-pub const SHIM_USER_BIT: u64 = 1 << 63;
 
 /// Handle through which an application process uses the networking stack.
 ///
@@ -142,13 +124,12 @@ impl NetClient {
     ///
     /// The timeout semantics are explicit:
     ///
-    /// * **non-zero** — `send`/`recv`/`accept`/`connect` wait up to this
-    ///   long (wall clock, not virtual time) and then fail with
+    /// * **non-zero** — `send`/`recv`/`connect` wait up to this long
+    ///   (wall clock, not virtual time) and then fail with
     ///   [`SockError::TimedOut`];
     /// * **zero** ([`Duration::ZERO`]) — the client is **non-blocking**:
     ///   data operations return [`SockError::WouldBlock`] immediately when
-    ///   they cannot make progress, and [`TcpSocket::accept`] behaves like
-    ///   [`TcpSocket::accept_nb`].  Control calls that inherently need a
+    ///   they cannot make progress.  Control calls that inherently need a
     ///   kernel round trip (socket creation, bind, connect, close) still
     ///   wait for their reply, bounded by a 10 s floor — the *reply* is
     ///   immediate, only delivery takes a moment.
@@ -338,7 +319,6 @@ impl NetClient {
             cq,
             sqs,
             buffers: Mutex::new(HashMap::new()),
-            shim: Mutex::new(ShimState::default()),
         });
         let mut slot = self.ring.lock();
         if let Some(existing) = slot.as_ref() {
@@ -500,94 +480,6 @@ impl NetClient {
         }
         Ok(group)
     }
-
-    /// Waits until at least one entry of `fds` is ready, filling in the
-    /// observed readiness (`poll(2)` semantics: `fds` are the pollfds,
-    /// the return value counts ready entries).  `timeout` is real time; a
-    /// zero timeout performs a single non-blocking scan.
-    ///
-    /// Every scan (~250 µs apart) is local: data readiness is read from
-    /// the shared socket buffers, accept readiness from the ring's
-    /// multishot accept completions.  An idle poll loop costs no kernel
-    /// IPC and no fabric messages at all.
-    ///
-    /// # Errors
-    ///
-    /// Never fails today (per-socket problems are reported through each
-    /// entry's [`Readiness::error`]); the `Result` leaves room for
-    /// catastrophic failures.
-    ///
-    /// # Example: a poll-driven accept loop
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use newt_net::link::LinkConfig;
-    /// use newt_stack::builder::{NewtStack, StackConfig};
-    /// use newt_stack::posix::{Interest, PollFd};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let stack = NewtStack::start(
-    ///     StackConfig::newtos()
-    ///         .link(LinkConfig::unshaped())
-    ///         .clock_speedup(50.0),
-    /// );
-    /// let client = stack.client().nonblocking();
-    ///
-    /// // One listener per shard (one shard here), like SO_REUSEPORT.
-    /// let listeners = client.listen_sharded(8080, 16, stack.shards())?;
-    ///
-    /// // Nothing pending yet: a zero-timeout scan reports no readiness.
-    /// let mut fds: Vec<PollFd> =
-    ///     listeners.iter().map(|l| PollFd::new(l, Interest::Accept)).collect();
-    /// assert_eq!(client.poll(&mut fds, Duration::ZERO)?, 0);
-    ///
-    /// // The remote peer connects in; poll reports the listener readable
-    /// // and the non-blocking accept yields the connection.
-    /// stack.peer(0).client_connect(49_152, StackConfig::local_addr(0), 8080);
-    /// let ready = client.poll(&mut fds, Duration::from_secs(10))?;
-    /// assert_eq!(ready, 1);
-    /// let (conn, peer_addr, _peer_port) =
-    ///     listeners[0].accept_nb()?.expect("backlog was ready");
-    /// assert_eq!(peer_addr, StackConfig::peer_addr(0));
-    /// assert!(conn.readiness().writable);
-    /// stack.shutdown();
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn poll(&self, fds: &mut [PollFd<'_>], timeout: Duration) -> Result<usize, SockError> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let mut ready = 0;
-            for fd in fds.iter_mut() {
-                fd.update();
-                if fd.is_ready() {
-                    ready += 1;
-                }
-            }
-            if ready > 0 || std::time::Instant::now() >= deadline {
-                return Ok(ready);
-            }
-            std::thread::sleep(Duration::from_micros(250));
-        }
-    }
-}
-
-/// Book-keeping for the library's internal accept shims: which listeners
-/// hold a multishot arm, the connections those arms have delivered, the
-/// terminal errors they ended with, and the stash of *application*
-/// completions set aside while servicing shim completions.
-#[derive(Debug, Default)]
-struct ShimState {
-    /// Listeners with a live multishot accept arm.
-    armed: HashSet<SockId>,
-    /// Accepted connections per listener, in arrival order.
-    accepted: HashMap<SockId, VecDeque<(SockId, Ipv4Addr, u16)>>,
-    /// Terminal error of a listener's arm (consumed on read, so a
-    /// re-listen can re-arm).
-    errors: HashMap<SockId, SockError>,
-    /// Application completions drained from the CQ while looking for
-    /// shim completions; handed out by [`RingHandle::drain`]/`wait`.
-    user: Vec<Cqe>,
 }
 
 /// An application's view of its syscall rings: the per-shard submission
@@ -601,12 +493,13 @@ struct ShimState {
 ///
 /// # Operation classes
 ///
-/// * [`RingHandle::send`], [`RingHandle::recv`], [`RingHandle::poll_arm`]
-///   and their [`Sqe`] forms complete **inline** against the shared
+/// * [`RingHandle::send`], [`RingHandle::recv`] and
+///   [`RingHandle::poll_arm`] complete **inline** against the shared
 ///   socket buffer — no fabric message, no kernel IPC;
-/// * `AcceptArm` and `Close` submissions are batched over the fabric to
-///   the owning TCP shard by the SYSCALL server's ring pump, and their
-///   completions arrive asynchronously on the CQ.
+/// * `AcceptArm` and `Close` submissions ([`RingHandle::submit`]) are
+///   batched over the fabric to the owning TCP shard by the SYSCALL
+///   server's ring pump, and their completions arrive asynchronously on
+///   the CQ.
 ///
 /// # Backpressure
 ///
@@ -623,7 +516,6 @@ pub struct RingHandle {
     /// Socket buffers attached for inline execution, keyed by socket id;
     /// evicted when a `Close` for the socket is submitted.
     buffers: Mutex<HashMap<SockId, Arc<SocketBuffer>>>,
-    shim: Mutex<ShimState>,
 }
 
 impl fmt::Debug for RingHandle {
@@ -667,75 +559,23 @@ impl RingHandle {
         Ok(buffer)
     }
 
-    /// Submits one ring entry.  `Send`/`Recv`/`PollArm` execute inline
-    /// and post their completion immediately; `AcceptArm`/`Close` are
-    /// queued towards the owning shard's SYSCALL pump.
+    /// Queues one ring entry towards the SYSCALL pump of the shard that
+    /// owns its socket.  Submitting a `Close` evicts the socket's cached
+    /// buffer.
     ///
     /// # Errors
     ///
     /// Returns [`SockError::WouldBlock`] when the target submission queue
-    /// is full (backpressure: retry after draining completions) and
-    /// [`SockError::InvalidState`] when `user_data` carries the reserved
-    /// [`SHIM_USER_BIT`].
+    /// is full (backpressure: retry after draining completions).
     pub fn submit(&self, sqe: Sqe) -> Result<(), SockError> {
-        if sqe.user_data & SHIM_USER_BIT != 0 {
-            return Err(SockError::InvalidState);
-        }
-        self.submit_raw(sqe)
-    }
-
-    /// [`RingHandle::submit`] without the reserved-tag check, for the
-    /// library's own shims.
-    fn submit_raw(&self, sqe: Sqe) -> Result<(), SockError> {
-        let Sqe { user_data, op } = sqe;
-        match op {
-            SqeOp::AcceptArm { listener } => self.sq_for(listener).submit(Sqe {
-                user_data,
-                op: SqeOp::AcceptArm { listener },
-            }),
+        let sock = match sqe.op {
+            SqeOp::AcceptArm { listener } => listener,
             SqeOp::Close { sock } => {
                 self.buffers.lock().remove(&sock);
-                self.sq_for(sock).submit(Sqe {
-                    user_data,
-                    op: SqeOp::Close { sock },
-                })
+                sock
             }
-            SqeOp::Send { sock, data } => {
-                let result = self
-                    .buffer(sock)
-                    .and_then(|buffer| buffer.write(&data, Duration::ZERO))
-                    .map(CqValue::Sent);
-                self.cq.post(Cqe { user_data, result });
-                Ok(())
-            }
-            SqeOp::Recv { sock, max } => {
-                let result = self.buffer(sock).and_then(|buffer| {
-                    let mut data = vec![0u8; max];
-                    let n = buffer.read(&mut data, Duration::ZERO)?;
-                    data.truncate(n);
-                    Ok(data)
-                });
-                self.cq.post(Cqe {
-                    user_data,
-                    result: result.map(CqValue::Data),
-                });
-                Ok(())
-            }
-            SqeOp::PollArm { sock, interest } => {
-                match self.buffer(sock) {
-                    Ok(buffer) => buffer.arm_watch(ReadyWatch {
-                        cq: Arc::clone(&self.cq),
-                        user_data,
-                        interest,
-                    }),
-                    Err(error) => self.cq.post(Cqe {
-                        user_data,
-                        result: Err(error),
-                    }),
-                }
-                Ok(())
-            }
-        }
+        };
+        self.sq_for(sock).submit(sqe)
     }
 
     /// Inline non-blocking send: writes as much of `data` as fits into
@@ -766,7 +606,7 @@ impl RingHandle {
     }
 
     /// Arms a one-shot readiness watch on `sock`: a completion tagged
-    /// `user_data` with [`CqValue::Ready`] is posted as soon as the
+    /// `user_data` with [`rings::CqValue::Ready`] is posted as soon as the
     /// socket's buffer matches `interest` (bits from
     /// [`rings::interest_bits`]) — immediately if it already does.
     /// Hang-up and pending errors fire the watch regardless of interest.
@@ -775,11 +615,8 @@ impl RingHandle {
     /// # Errors
     ///
     /// [`SockError::ServerUnavailable`] when the socket's buffer cannot
-    /// be attached, [`SockError::InvalidState`] for a reserved tag.
+    /// be attached.
     pub fn poll_arm(&self, sock: SockId, interest: u8, user_data: u64) -> Result<(), SockError> {
-        if user_data & SHIM_USER_BIT != 0 {
-            return Err(SockError::InvalidState);
-        }
         self.buffer(sock)?.arm_watch(ReadyWatch {
             cq: Arc::clone(&self.cq),
             user_data,
@@ -788,204 +625,17 @@ impl RingHandle {
         Ok(())
     }
 
-    /// Snapshot of `sock`'s data readiness, read locally from its shared
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`SockError::ServerUnavailable`] when the buffer cannot be
-    /// attached.
-    pub fn readiness(&self, sock: SockId) -> Result<Readiness, SockError> {
-        Ok(self.buffer(sock)?.readiness())
-    }
-
-    /// Drains every pending *application* completion into `out` without
-    /// blocking; returns how many arrived.  Shim completions (the
-    /// library's accept arms) are absorbed internally.
+    /// Drains every pending completion into `out` without blocking;
+    /// returns how many arrived.
     pub fn drain(&self, out: &mut Vec<Cqe>) -> usize {
-        self.service(None);
-        self.hand_out(out)
+        self.cq.drain_into(out)
     }
 
     /// Waits up to `timeout` for a completion, then drains every pending
-    /// *application* completion into `out`; returns how many arrived.
-    /// May return 0 before the timeout expires when the wakeup was for a
-    /// shim completion (spurious-wakeup semantics: re-call to keep
-    /// waiting).
+    /// completion into `out`; returns how many arrived (0 when the
+    /// timeout expires first).
     pub fn wait(&self, out: &mut Vec<Cqe>, timeout: Duration) -> usize {
-        self.service(None);
-        if self.shim.lock().user.is_empty() {
-            self.service(Some(timeout));
-        }
-        self.hand_out(out)
-    }
-
-    /// Moves the stashed application completions into `out`.
-    fn hand_out(&self, out: &mut Vec<Cqe>) -> usize {
-        let mut shim = self.shim.lock();
-        let n = shim.user.len();
-        out.append(&mut shim.user);
-        n
-    }
-
-    /// Drains the CQ (optionally waiting first) and dispatches what
-    /// arrived: shim completions update the accept book-keeping,
-    /// application completions go to the stash for
-    /// [`RingHandle::drain`]/[`RingHandle::wait`].
-    fn service(&self, wait: Option<Duration>) {
-        let mut scratch = Vec::new();
-        match wait {
-            None => self.cq.drain_into(&mut scratch),
-            Some(timeout) => self.cq.wait(&mut scratch, timeout),
-        };
-        if scratch.is_empty() {
-            return;
-        }
-        let mut shim = self.shim.lock();
-        for cqe in scratch {
-            if cqe.user_data & SHIM_USER_BIT == 0 {
-                shim.user.push(cqe);
-                continue;
-            }
-            let listener = cqe.user_data & !SHIM_USER_BIT;
-            match cqe.result {
-                Ok(CqValue::Accepted {
-                    sock,
-                    peer_addr,
-                    peer_port,
-                }) => {
-                    shim.accepted
-                        .entry(listener)
-                        .or_default()
-                        .push_back((sock, peer_addr, peer_port));
-                }
-                Err(error) => {
-                    // The arm ended (listener closed, server lost); the
-                    // next accept sees the error once, then may re-arm.
-                    shim.armed.remove(&listener);
-                    shim.errors.insert(listener, error);
-                }
-                Ok(_) => {}
-            }
-        }
-    }
-
-    /// Ensures `listener` has a live multishot accept arm, submitting one
-    /// if not.
-    ///
-    /// # Errors
-    ///
-    /// [`SockError::WouldBlock`] when the submission queue is full; the
-    /// arm is not recorded, so the next call retries.
-    fn ensure_accept_arm(&self, listener: SockId) -> Result<(), SockError> {
-        {
-            let mut shim = self.shim.lock();
-            if shim.armed.contains(&listener) {
-                return Ok(());
-            }
-            shim.armed.insert(listener);
-            shim.errors.remove(&listener);
-        }
-        let sqe = Sqe {
-            user_data: SHIM_USER_BIT | listener,
-            op: SqeOp::AcceptArm { listener },
-        };
-        if let Err(error) = self.sq_for(listener).submit(sqe) {
-            self.shim.lock().armed.remove(&listener);
-            return Err(error);
-        }
-        Ok(())
-    }
-
-    /// Pops the oldest connection accepted on `listener`, if any.
-    fn pop_accepted(&self, listener: SockId) -> Option<(SockId, Ipv4Addr, u16)> {
-        self.shim.lock().accepted.get_mut(&listener)?.pop_front()
-    }
-
-    /// Returns `true` when a connection accepted on `listener` waits.
-    fn has_accepted(&self, listener: SockId) -> bool {
-        self.shim
-            .lock()
-            .accepted
-            .get(&listener)
-            .is_some_and(|queue| !queue.is_empty())
-    }
-
-    /// Consumes the terminal error of `listener`'s accept arm, if any.
-    fn take_accept_error(&self, listener: SockId) -> Option<SockError> {
-        self.shim.lock().errors.remove(&listener)
-    }
-}
-
-/// What a [`PollFd`] waits for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interest {
-    /// Data to read (or EOF, or an error).
-    Readable,
-    /// Send-buffer space.
-    Writable,
-    /// Either direction.
-    ReadWrite,
-    /// A connection waiting in the listen backlog.
-    Accept,
-}
-
-/// One entry of a [`NetClient::poll`] set — a socket plus the events the
-/// caller cares about, with the observed readiness filled in by `poll`.
-#[derive(Debug)]
-pub struct PollFd<'a> {
-    socket: &'a TcpSocket,
-    interest: Interest,
-    revents: Readiness,
-}
-
-impl<'a> PollFd<'a> {
-    /// Creates an entry waiting for `interest` on `socket`.
-    pub fn new(socket: &'a TcpSocket, interest: Interest) -> Self {
-        PollFd {
-            socket,
-            interest,
-            revents: Readiness::default(),
-        }
-    }
-
-    /// The readiness observed by the last [`NetClient::poll`] scan.
-    pub fn revents(&self) -> Readiness {
-        self.revents
-    }
-
-    fn update(&mut self) {
-        match self.interest {
-            Interest::Accept => {
-                self.revents = match self.socket.accept_ready() {
-                    Ok(ready) => Readiness {
-                        readable: ready,
-                        ..Readiness::default()
-                    },
-                    // A restarting server is "not ready", not fatal; the
-                    // error is surfaced so the caller can distinguish,
-                    // but it does NOT count as readiness — otherwise a
-                    // poll loop would busy-spin for the whole restart.
-                    Err(error) => Readiness {
-                        error: Some(error),
-                        ..Readiness::default()
-                    },
-                };
-            }
-            _ => self.revents = self.socket.readiness(),
-        }
-    }
-
-    fn is_ready(&self) -> bool {
-        let r = self.revents;
-        match self.interest {
-            // Listener problems (e.g. ServerUnavailable mid-restart) are
-            // recorded but never "ready" — there is nothing to accept.
-            Interest::Accept => r.readable,
-            Interest::Readable => r.readable || r.hung_up || r.error.is_some(),
-            Interest::Writable => r.writable || r.hung_up || r.error.is_some(),
-            Interest::ReadWrite => r.readable || r.writable || r.hung_up || r.error.is_some(),
-        }
+        self.cq.wait(out, timeout)
     }
 }
 
@@ -1025,17 +675,7 @@ impl TcpSocket {
     ///
     /// Returns [`SockError::InvalidState`] when the socket is not bound.
     pub fn listen(&self, backlog: usize) -> Result<(), SockError> {
-        self.listen_with(backlog, false)
-    }
-
-    /// Starts listening, optionally as part of an `SO_REUSEPORT`-style
-    /// sharded group (see [`NetClient::listen_sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpSocket::listen`].
-    pub fn listen_with(&self, backlog: usize, sharded: bool) -> Result<(), SockError> {
-        self.listen_with_caps(backlog, sharded, 0, 0)
+        self.listen_with_caps(backlog, false, 0, 0)
     }
 
     /// Starts listening with explicit per-connection socket buffer
@@ -1073,108 +713,6 @@ impl TcpSocket {
         Ok(())
     }
 
-    /// Accepts one connection through the ring's multishot accept arm.
-    /// A blocking client waits until a peer connects; a non-blocking
-    /// client ([`NetClient::with_timeout`] zero) fails with
-    /// [`SockError::WouldBlock`] when nothing is pending.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SockError::WouldBlock`] (non-blocking, empty backlog, or
-    /// a full submission queue), [`SockError::TimedOut`], or
-    /// [`SockError::ServerUnavailable`] when the TCP server is
-    /// unreachable.
-    pub fn accept(&self) -> Result<(TcpSocket, Ipv4Addr, u16), SockError> {
-        let ring = self.client.ring()?;
-        ring.ensure_accept_arm(self.sock)?;
-        let deadline = std::time::Instant::now() + self.client.op_timeout;
-        loop {
-            ring.service(None);
-            if let Some((child, addr, port)) = ring.pop_accepted(self.sock) {
-                return self.adopt(child, addr, port);
-            }
-            if let Some(error) = ring.take_accept_error(self.sock) {
-                return Err(error);
-            }
-            if self.client.is_nonblocking() {
-                return Err(SockError::WouldBlock);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(SockError::TimedOut);
-            }
-            ring.service(Some(deadline - now));
-        }
-    }
-
-    /// Non-blocking accept: returns `Ok(None)` when no connection is
-    /// waiting, regardless of the client's timeout mode.
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpSocket::accept`], except that an empty backlog is `Ok(None)`
-    /// rather than an error.
-    pub fn accept_nb(&self) -> Result<Option<(TcpSocket, Ipv4Addr, u16)>, SockError> {
-        let ring = self.client.ring()?;
-        ring.ensure_accept_arm(self.sock)?;
-        ring.service(None);
-        if let Some((child, addr, port)) = ring.pop_accepted(self.sock) {
-            return Ok(Some(self.adopt(child, addr, port)?));
-        }
-        if let Some(error) = ring.take_accept_error(self.sock) {
-            return Err(error);
-        }
-        Ok(None)
-    }
-
-    /// Wraps an accepted connection in a [`TcpSocket`].
-    fn adopt(
-        &self,
-        child: SockId,
-        addr: Ipv4Addr,
-        port: u16,
-    ) -> Result<(TcpSocket, Ipv4Addr, u16), SockError> {
-        let buffer = self.client.attach_buffer("tcp", child)?;
-        Ok((
-            TcpSocket {
-                client: self.client.clone(),
-                sock: child,
-                buffer,
-            },
-            addr,
-            port,
-        ))
-    }
-
-    /// Returns `true` when at least one accepted connection waits on this
-    /// listener's ring arm — answered locally from the completion queue,
-    /// no round trip.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SockError::ServerUnavailable`] when the listener's arm
-    /// ended because its TCP server went away permanently, and
-    /// [`SockError::WouldBlock`] when the arm could not be submitted
-    /// (full submission queue).
-    pub fn accept_ready(&self) -> Result<bool, SockError> {
-        let ring = self.client.ring()?;
-        ring.ensure_accept_arm(self.sock)?;
-        ring.service(None);
-        if ring.has_accepted(self.sock) {
-            return Ok(true);
-        }
-        if let Some(error) = ring.take_accept_error(self.sock) {
-            return Err(error);
-        }
-        Ok(false)
-    }
-
-    /// Snapshot of this socket's data readiness, read locally from the
-    /// shared buffer — no kernel or server round trip.
-    pub fn readiness(&self) -> Readiness {
-        self.buffer.readiness()
-    }
-
     /// Connects to `addr:port`, blocking until the handshake completes.
     ///
     /// # Errors
@@ -1203,16 +741,6 @@ impl TcpSocket {
         self.buffer.write(data, self.client.op_timeout)
     }
 
-    /// Non-blocking write regardless of the client's timeout mode.
-    ///
-    /// # Errors
-    ///
-    /// [`SockError::WouldBlock`] when the send buffer is full, or the
-    /// pending socket error.
-    pub fn try_send(&self, data: &[u8]) -> Result<usize, SockError> {
-        self.buffer.write(data, Duration::ZERO)
-    }
-
     /// Writes all of `data`, blocking as needed.
     ///
     /// # Errors
@@ -1237,17 +765,6 @@ impl TcpSocket {
         self.buffer.read(buf, self.client.op_timeout)
     }
 
-    /// Non-blocking read regardless of the client's timeout mode; returns
-    /// 0 at end-of-stream.
-    ///
-    /// # Errors
-    ///
-    /// [`SockError::WouldBlock`] when nothing is buffered, or the pending
-    /// socket error.
-    pub fn try_recv(&self, buf: &mut [u8]) -> Result<usize, SockError> {
-        self.buffer.read(buf, Duration::ZERO)
-    }
-
     /// Reads exactly `buf.len()` bytes.
     ///
     /// # Errors
@@ -1266,11 +783,6 @@ impl TcpSocket {
             offset += n;
         }
         Ok(())
-    }
-
-    /// Returns the number of bytes immediately available for reading.
-    pub fn available(&self) -> usize {
-        self.buffer.recv_available()
     }
 
     /// Closes the socket.
@@ -1390,15 +902,6 @@ impl UdpSocket {
             let n = self.buffer.read(&mut chunk, remaining)?;
             self.pending.lock().extend_from_slice(&chunk[..n]);
         }
-    }
-
-    /// Snapshot of this socket's readiness, read locally from the shared
-    /// buffer.  `readable` means raw datagram bytes are queued (a whole
-    /// datagram may still be in flight).
-    pub fn readiness(&self) -> Readiness {
-        let mut readiness = self.buffer.readiness();
-        readiness.readable = readiness.readable || !self.pending.lock().is_empty();
-        readiness
     }
 
     /// Closes the socket.

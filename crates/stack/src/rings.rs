@@ -19,13 +19,14 @@
 //!
 //! # Which operations touch the fabric
 //!
-//! Data already moves through shared socket buffers, so `Send`, `Recv`
-//! and `PollArm` complete *inline* on the application side — zero fabric
-//! messages.  Only `AcceptArm` (multishot: one submission, a completion
-//! per accepted connection) and `Close` are forwarded to the transport,
-//! batched onto the per-shard SPSC lanes via `send_batch`/`drain_into`.
-//! This is what makes the amortized fabric-message count per socket
-//! operation fall below one.
+//! Data already moves through shared socket buffers, so sends, receives
+//! and readiness watches complete *inline* on the application side
+//! ([`crate::posix::RingHandle`]) — zero fabric messages, no submission
+//! entry.  The submission queue carries only the two operations that
+//! cross the fabric: `AcceptArm` (multishot: one submission, a completion
+//! per accepted connection) and `Close`, batched onto the per-shard SPSC
+//! lanes via `send_batch`/`drain_into`.  This is what makes the amortized
+//! fabric-message count per socket operation fall below one.
 //!
 //! # Backpressure
 //!
@@ -92,7 +93,8 @@ pub fn sq_name(app: u32, shard: usize) -> String {
     format!("ring/{app}/sq/{shard}")
 }
 
-/// Readiness interest bits carried by [`SqeOp::PollArm`].
+/// Readiness interest bits taken by
+/// [`RingHandle::poll_arm`](crate::posix::RingHandle::poll_arm).
 pub mod interest_bits {
     /// Fire when the socket becomes readable (data or EOF queued).
     pub const READ: u8 = 1 << 0;
@@ -110,7 +112,8 @@ pub struct Sqe {
     pub op: SqeOp,
 }
 
-/// The operations expressible on the submission queue.
+/// The operations expressible on the submission queue: the two that are
+/// forwarded over the fabric to the owning transport shard.
 #[derive(Debug, Clone)]
 pub enum SqeOp {
     /// Arm a *multishot* accept on a listening socket: one submission
@@ -121,33 +124,6 @@ pub enum SqeOp {
     AcceptArm {
         /// The listening socket.
         listener: SockId,
-    },
-    /// Arm a *one-shot* readiness watch on a socket's shared buffer.
-    /// Completes inline with [`CqValue::Ready`] as soon as the buffer
-    /// matches `interest` (immediately if it already does); hang-up and
-    /// error always fire regardless of interest.
-    PollArm {
-        /// The socket to watch.
-        sock: SockId,
-        /// Bitmask from [`interest_bits`].
-        interest: u8,
-    },
-    /// Copy bytes into the socket's send buffer.  Completes inline with
-    /// [`CqValue::Sent`]; a full buffer completes with `WouldBlock`.
-    Send {
-        /// The socket to send on.
-        sock: SockId,
-        /// The bytes to enqueue.
-        data: Vec<u8>,
-    },
-    /// Copy up to `max` bytes out of the socket's receive buffer.
-    /// Completes inline with [`CqValue::Data`]; an empty buffer
-    /// completes with `WouldBlock`, a drained EOF with empty data.
-    Recv {
-        /// The socket to receive from.
-        sock: SockId,
-        /// Upper bound on the bytes returned.
-        max: usize,
     },
     /// Close the socket.  Forwarded to the transport over the fabric;
     /// completes with [`CqValue::Closed`] when the server has dismantled
@@ -161,10 +137,6 @@ pub enum SqeOp {
 /// The successful payload of a completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CqValue {
-    /// Bytes accepted into the send buffer by a `Send`.
-    Sent(usize),
-    /// Bytes returned by a `Recv` (empty = clean EOF).
-    Data(Vec<u8>),
     /// A connection accepted by a multishot `AcceptArm`.
     Accepted {
         /// The new connection's socket id.
@@ -174,7 +146,7 @@ pub enum CqValue {
         /// Remote port of the connection.
         peer_port: u16,
     },
-    /// The readiness snapshot that fired a `PollArm` watch.
+    /// The readiness snapshot that fired a readiness watch.
     Ready(Readiness),
     /// A `Close` finished server-side.
     Closed,
@@ -421,7 +393,6 @@ struct SqInner {
 pub struct SubmissionRing {
     shard: usize,
     inner: Mutex<SqInner>,
-    cq: Arc<CompletionQueue>,
 }
 
 impl std::fmt::Debug for SubmissionRing {
@@ -433,8 +404,8 @@ impl std::fmt::Debug for SubmissionRing {
 }
 
 impl SubmissionRing {
-    /// Creates a submission ring for `shard`, completing into `cq`.
-    pub fn new(shard: usize, capacity: usize, cq: Arc<CompletionQueue>) -> Self {
+    /// Creates a submission ring for `shard`.
+    pub fn new(shard: usize, capacity: usize) -> Self {
         SubmissionRing {
             shard,
             inner: Mutex::new(SqInner {
@@ -443,18 +414,12 @@ impl SubmissionRing {
                 pending_forward: Vec::new(),
                 next_seq: 0,
             }),
-            cq,
         }
     }
 
     /// The stack shard this ring submits to.
     pub fn shard(&self) -> usize {
         self.shard
-    }
-
-    /// The completion queue of this ring's group.
-    pub fn cq(&self) -> &Arc<CompletionQueue> {
-        &self.cq
     }
 
     /// Application side: enqueues a submission.  A full ring is
@@ -491,20 +456,6 @@ impl SubmissionRing {
                     true,
                 ),
                 SqeOp::Close { sock } => (SockRequest::Close { req, sock }, false),
-                // Inline operations never reach the submission ring; the
-                // client completes them against the shared buffer.  If
-                // one slips through, complete it with an error rather
-                // than wedging the ring.
-                SqeOp::PollArm { .. } | SqeOp::Send { .. } | SqeOp::Recv { .. } => {
-                    drop(inner);
-                    self.cq.post(Cqe {
-                        user_data: sqe.user_data,
-                        result: Err(SockError::InvalidState),
-                    });
-                    inner = self.inner.lock();
-                    taken += 1;
-                    continue;
-                }
             };
             inner.inflight.insert(
                 seq,
@@ -586,7 +537,7 @@ impl RingGroup {
     pub fn new(shards: usize) -> Self {
         let cq = Arc::new(CompletionQueue::new(CQ_CAPACITY));
         let sqs = (0..shards)
-            .map(|s| Arc::new(SubmissionRing::new(s, SQ_CAPACITY, Arc::clone(&cq))))
+            .map(|s| Arc::new(SubmissionRing::new(s, SQ_CAPACITY)))
             .collect();
         RingGroup { cq, sqs }
     }
@@ -691,8 +642,7 @@ mod tests {
 
     #[test]
     fn submission_ring_rejects_when_full_and_recovers() {
-        let cq = Arc::new(CompletionQueue::new(8));
-        let sq = SubmissionRing::new(0, 2, cq);
+        let sq = SubmissionRing::new(0, 2);
         let sqe = |tag| Sqe {
             user_data: tag,
             op: SqeOp::Close { sock: tag },
@@ -713,8 +663,7 @@ mod tests {
 
     #[test]
     fn multishot_inflight_survives_non_terminal_resolves() {
-        let cq = Arc::new(CompletionQueue::new(8));
-        let sq = SubmissionRing::new(0, 8, cq);
+        let sq = SubmissionRing::new(0, 8);
         sq.submit(Sqe {
             user_data: 42,
             op: SqeOp::AcceptArm { listener: 7 },

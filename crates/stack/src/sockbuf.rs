@@ -159,7 +159,7 @@ impl Readiness {
 }
 
 /// A one-shot readiness watch armed on a socket buffer through the ring
-/// API ([`crate::rings::SqeOp::PollArm`]).  Whichever side transitions
+/// API ([`crate::posix::RingHandle::poll_arm`]).  Whichever side transitions
 /// the buffer's readiness — the transport pushing received data, setting
 /// EOF or an error, or freeing send space — posts the completion, so the
 /// application parks on a single completion-queue doorbell instead of

@@ -3,7 +3,7 @@
 //! Applications speak POSIX; the stack's internals are asynchronous.  The
 //! SYSCALL front end sits in between (paper §V-B) and now has two faces:
 //!
-//! * **Legacy kernel-IPC calls** — socket/bind/listen/connect/accept/close
+//! * **Kernel-IPC control calls** — socket/bind/listen/connect/close
 //!   arrive as synchronous kernel messages; the singleton [`SyscallServer`]
 //!   "pays the trapping toll for the rest of the system", peeks into each
 //!   message and forwards it to the owning protocol server over the
@@ -19,7 +19,7 @@
 //!   singleton; every further shard gets its own [`SyscallReplica`]
 //!   component.
 //!
-//! With a sharded stack the singleton still *routes* legacy calls: new
+//! With a sharded stack the singleton still *routes* kernel-IPC calls: new
 //! sockets are spread round-robin over the transport replicas, and every
 //! later call is steered by the shard index carried in the socket id's
 //! upper bits ([`endpoints::sock_shard`]), so a socket's calls always land
@@ -43,7 +43,7 @@ use crate::endpoints;
 #[cfg(test)]
 use crate::fabric::drain;
 use crate::fabric::{send, CrashBoard, Rx, Tx};
-use crate::msg::{addr_to_word, encode_sock_error, syscalls, word_to_addr, SockReply, SockRequest};
+use crate::msg::{encode_sock_error, syscalls, word_to_addr, SockReply, SockRequest};
 use crate::rings::{self, CqValue, Cqe, RingGroup, RingTable};
 use crate::service::Service;
 use crate::sockbuf::SockError;
@@ -600,10 +600,6 @@ impl SyscallServer {
                 send_cap: message.word(3) as u32,
                 recv_cap: message.word(4) as u32,
             },
-            syscalls::ACCEPT => SockRequest::Accept {
-                req,
-                sock: message.word(0),
-            },
             syscalls::CONNECT => SockRequest::Connect {
                 req,
                 sock: message.word(0),
@@ -644,18 +640,13 @@ impl SyscallServer {
             SockReply::Ok { port, .. } => {
                 Message::new(syscalls::REPLY_OK).with_word(0, port as u64)
             }
-            SockReply::Accepted {
-                sock,
-                peer_addr,
-                peer_port,
-                ..
-            } => Message::new(syscalls::REPLY_OK)
-                .with_word(0, sock)
-                .with_word(1, addr_to_word(peer_addr))
-                .with_word(2, peer_port as u64),
             SockReply::Error { error, .. } => {
                 Message::new(syscalls::REPLY_ERR).with_word(0, encode_sock_error(error))
             }
+            // Connections are accepted only through ring arms; no kernel
+            // call is ever answered with one.
+            SockReply::Accepted { .. } => Message::new(syscalls::REPLY_ERR)
+                .with_word(0, encode_sock_error(SockError::InvalidState)),
         };
         if self
             .kernel
@@ -713,6 +704,7 @@ fn transport_shard_of(name: &str) -> Option<(&'static str, usize)> {
 mod tests {
     use super::*;
     use crate::fabric::Chan;
+    use crate::msg::addr_to_word;
     use crate::rings::{CompletionQueue, Sqe, SqeOp, SubmissionRing};
     use newt_channels::endpoint::Generation;
     use newt_channels::reqdb::RequestId;
@@ -969,21 +961,30 @@ mod tests {
 
     #[test]
     fn unknown_call_is_rejected_locally() {
-        let mut rig = rig();
-        let msg = Message::new(77).with_word(syscalls::PROTO_WORD, 6);
-        rig.kernel.send(rig.app, endpoints::SYSCALL, msg).unwrap();
-        rig.syscall.poll();
-        let reply = rig.kernel.receive(rig.app, Duration::from_secs(1)).unwrap();
-        assert_eq!(reply.mtype, syscalls::REPLY_ERR);
-        assert_eq!(rig.syscall.stats().local_errors, 1);
-        assert!(drain(&rig.tcp_rx).is_empty());
+        // 77 was never a call; 4 is the retired `ACCEPT`, which the
+        // rings' multishot accept arms replaced.
+        for mtype in [77, 4] {
+            let mut rig = rig();
+            let msg = Message::new(mtype)
+                .with_word(0, 5)
+                .with_word(syscalls::PROTO_WORD, 6);
+            rig.kernel.send(rig.app, endpoints::SYSCALL, msg).unwrap();
+            rig.syscall.poll();
+            let reply = rig.kernel.receive(rig.app, Duration::from_secs(1)).unwrap();
+            assert_eq!(reply.mtype, syscalls::REPLY_ERR, "message type {mtype}");
+            assert_eq!(rig.syscall.stats().local_errors, 1, "message type {mtype}");
+            assert!(drain(&rig.tcp_rx).is_empty(), "message type {mtype}");
+            assert_eq!(rig.syscall.outstanding(), 0, "message type {mtype}");
+        }
     }
 
     #[test]
     fn tcp_crash_fails_outstanding_calls() {
         let mut rig = rig();
-        let msg = Message::new(syscalls::ACCEPT)
+        let msg = Message::new(syscalls::CONNECT)
             .with_word(0, 5)
+            .with_word(1, addr_to_word(std::net::Ipv4Addr::new(10, 0, 0, 2)))
+            .with_word(2, 22)
             .with_word(syscalls::PROTO_WORD, 6);
         rig.kernel.send(rig.app, endpoints::SYSCALL, msg).unwrap();
         rig.syscall.poll();
@@ -1014,32 +1015,6 @@ mod tests {
         );
         rig.syscall.poll();
         assert_eq!(rig.syscall.stats().replies, 0);
-    }
-
-    #[test]
-    fn accepted_reply_carries_peer_address() {
-        let mut rig = rig();
-        let msg = Message::new(syscalls::ACCEPT)
-            .with_word(0, 5)
-            .with_word(syscalls::PROTO_WORD, 6);
-        rig.kernel.send(rig.app, endpoints::SYSCALL, msg).unwrap();
-        rig.syscall.poll();
-        let req = drain(&rig.tcp_rx)[0].req();
-        let peer = std::net::Ipv4Addr::new(10, 0, 0, 2);
-        send(
-            &rig.tcp_tx,
-            SockReply::Accepted {
-                req,
-                sock: 9,
-                peer_addr: peer,
-                peer_port: 51000,
-            },
-        );
-        rig.syscall.poll();
-        let reply = rig.kernel.receive(rig.app, Duration::from_secs(1)).unwrap();
-        assert_eq!(reply.word(0), 9);
-        assert_eq!(word_to_addr(reply.word(1)), peer);
-        assert_eq!(reply.word(2), 51000);
     }
 
     #[test]
@@ -1092,15 +1067,20 @@ mod tests {
         };
         assert!(rings::is_ring_req(req));
         assert!(drain(&rig.tcp_rx).is_empty());
-        // Two connections complete under the same multishot arm.
-        for sock in [101u64, 102] {
+        // Two connections complete under the same multishot arm, each with
+        // its own peer address and port.
+        let peers = [
+            (101u64, std::net::Ipv4Addr::new(10, 0, 0, 2), 50_000u16),
+            (102, std::net::Ipv4Addr::new(10, 0, 1, 2), 51_000),
+        ];
+        for (sock, peer_addr, peer_port) in peers {
             send(
                 &rig.ring_tcp_tx,
                 SockReply::Accepted {
                     req,
                     sock,
-                    peer_addr: std::net::Ipv4Addr::new(10, 0, 0, 2),
-                    peer_port: 50_000,
+                    peer_addr,
+                    peer_port,
                 },
             );
         }
@@ -1108,12 +1088,16 @@ mod tests {
         let mut cqes = Vec::new();
         group.cq.drain_into(&mut cqes);
         assert_eq!(cqes.len(), 2);
-        for (cqe, sock) in cqes.iter().zip([101u64, 102]) {
+        for (cqe, expected) in cqes.iter().zip(peers) {
             assert_eq!(cqe.user_data, 7);
-            assert!(
-                matches!(cqe.result, Ok(CqValue::Accepted { sock: s, .. }) if s == sock),
-                "unexpected {cqe:?}"
-            );
+            match cqe.result {
+                Ok(CqValue::Accepted {
+                    sock,
+                    peer_addr,
+                    peer_port,
+                }) => assert_eq!((sock, peer_addr, peer_port), expected),
+                ref other => panic!("unexpected {other:?}"),
+            }
         }
         // The arm is still in flight; a terminal error retires it.
         assert_eq!(group.sqs[0].inflight_len(), 1);

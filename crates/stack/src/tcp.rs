@@ -437,7 +437,6 @@ struct TcpSock {
 
     // Listener state.
     backlog: Vec<SockId>,
-    pending_accepts: Vec<RequestId>,
     backlog_limit: usize,
     /// `SO_REUSEPORT`-style listener replicated on every shard: only answer
     /// SYNs whose RSS hash steers to this shard.
@@ -582,13 +581,14 @@ struct PendingSend {
 /// `TcpHotState`/`HotSock` change incompatibly; a replacement
 /// incarnation that sees a different version falls back to crash-style
 /// recovery instead of misreading the predecessor's state.  Version 2
-/// added the multishot accept arm and the listener-scoped buffer caps.
-pub const TCP_STATE_VERSION: u32 = 2;
+/// added the multishot accept arm and the listener-scoped buffer caps;
+/// version 3 dropped the queue of one-shot accept calls.
+pub const TCP_STATE_VERSION: u32 = 3;
 
 /// The full per-connection state carried across a live update — everything
 /// [`SockSummary`] deliberately drops: send/receive sequence state,
 /// unacknowledged bytes, congestion control, timer deadlines and the
-/// requests parked inside the server (pending accepts/connects).
+/// requests parked inside the server (accept arms, pending connects).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct HotSock {
     id: SockId,
@@ -606,7 +606,6 @@ struct HotSock {
     rto_deadline: Option<Duration>,
     rcv_nxt: u32,
     backlog: Vec<SockId>,
-    pending_accepts: Vec<RequestId>,
     backlog_limit: usize,
     sharded_listener: bool,
     accept_watch: Option<RequestId>,
@@ -933,7 +932,6 @@ impl TcpServer {
             sock.rto_deadline = h.rto_deadline;
             sock.rcv_nxt = h.rcv_nxt;
             sock.backlog = h.backlog;
-            sock.pending_accepts = h.pending_accepts;
             sock.backlog_limit = h.backlog_limit;
             sock.sharded_listener = h.sharded_listener;
             sock.accept_watch = h.accept_watch;
@@ -1068,7 +1066,6 @@ impl TcpServer {
             rto_deadline: None,
             rcv_nxt: 0,
             backlog: Vec::new(),
-            pending_accepts: Vec::new(),
             backlog_limit: 0,
             sharded_listener: false,
             accept_watch: None,
@@ -1121,7 +1118,6 @@ impl Service for TcpServer {
                 rto_deadline: s.rto_deadline,
                 rcv_nxt: s.rcv_nxt,
                 backlog: s.backlog.clone(),
-                pending_accepts: s.pending_accepts.clone(),
                 backlog_limit: s.backlog_limit,
                 sharded_listener: s.sharded_listener,
                 accept_watch: s.accept_watch,
@@ -1545,22 +1541,6 @@ impl TcpServer {
                 self.persist_sockets();
                 route_reply(&self.to_syscall, &self.to_ring, reply_for(req, reply));
             }
-            SockRequest::Accept { sock, .. } => match self.sockets.get_mut(&sock) {
-                Some(listener) if listener.state == TcpState::Listen => {
-                    listener.pending_accepts.push(req);
-                    self.try_complete_accepts(sock);
-                }
-                _ => {
-                    route_reply(
-                        &self.to_syscall,
-                        &self.to_ring,
-                        SockReply::Error {
-                            req,
-                            error: SockError::InvalidState,
-                        },
-                    );
-                }
-            },
             SockRequest::AcceptArm { sock, .. } => match self.sockets.get_mut(&sock) {
                 Some(listener) if listener.state == TcpState::Listen => {
                     // Idempotent: re-arming replaces the previous arm.
@@ -1773,14 +1753,9 @@ impl TcpServer {
             if listener.backlog.is_empty() {
                 return;
             }
-            // Blocking accepts are served first; the multishot arm then
-            // drains whatever remains (one completion per connection,
-            // the arm itself stays in place).
-            let req = if !listener.pending_accepts.is_empty() {
-                listener.pending_accepts.remove(0)
-            } else if let Some(watch) = listener.accept_watch {
-                watch
-            } else {
+            // The multishot arm drains the backlog: one completion per
+            // connection, the arm itself stays in place.
+            let Some(req) = listener.accept_watch else {
                 return;
             };
             let Some((child_id, peer_addr, peer_port)) = self.pop_backlog(listener_id) else {
@@ -3469,7 +3444,7 @@ mod tests {
         );
         send(
             &rig.syscall_tx,
-            SockRequest::Accept {
+            SockRequest::AcceptArm {
                 req: RequestId::from_raw(4),
                 sock: listener,
             },
@@ -3493,7 +3468,7 @@ mod tests {
             TcpFlags::ACK,
         );
         inject(&mut rig, ack);
-        // The pending accept completes.
+        // The accept arm delivers the connection.
         let replies = drain(&rig.syscall_rx);
         let child = match &replies[..] {
             [SockReply::Accepted {

@@ -627,9 +627,7 @@ impl UdpServer {
                 };
                 send(&self.to_syscall, reply);
             }
-            SockRequest::Listen { .. }
-            | SockRequest::Accept { .. }
-            | SockRequest::AcceptArm { .. } => {
+            SockRequest::Listen { .. } | SockRequest::AcceptArm { .. } => {
                 send(
                     &self.to_syscall,
                     SockReply::Error {

@@ -1,13 +1,14 @@
 //! End-to-end tests of the application workload layer: the HTTP server on
-//! the poll-based socket API, the peer-side load generator, impaired
-//! links, and the crash-during-transfer recovery story.
+//! the syscall rings and its admission control, the peer-side load
+//! generator, impaired links, and the crash-during-transfer recovery story.
 
 use std::time::Duration;
 
+use newt_apps::http::{body_for_path, request_bytes, ResponseReader};
 use newt_apps::httpd::{Httpd, HttpdConfig};
 use newt_apps::loadgen::{run_http_load, LoadConfig};
 use newtos::net::link::{LinkConfig, Netem};
-use newtos::net::peer::IPERF_PORT;
+use newtos::net::peer::{ClientStatus, IPERF_PORT};
 use newtos::stack::sockbuf::SockError;
 use newtos::{Component, FaultAction, NewtStack, StackConfig};
 use newtos_suite::wait_for;
@@ -67,6 +68,77 @@ fn http_workload_runs_across_shards_over_a_clean_link() {
     let stats = server.stop();
     assert!(stats.requests >= 48);
     assert_eq!(stats.error_responses, 0);
+    stack.shutdown();
+}
+
+#[test]
+fn admission_sheds_past_the_watermark_and_keeps_admitted_connections_open() {
+    let stack = NewtStack::start(workload_config());
+    let server = Httpd::spawn(
+        stack.client(),
+        stack.shards(),
+        HttpdConfig {
+            max_connections: 4,
+            ..HttpdConfig::default()
+        },
+    )
+    .expect("http server");
+    let peer = stack.peer(0);
+    let path = "/bytes/256";
+    let expected = body_for_path(path).expect("servable path");
+    let request = request_bytes(path);
+
+    // One keep-alive connection at a time, each answered before the next
+    // opens, so the admission order — and with it which connections are
+    // shed — is fixed.
+    let ports: Vec<u16> = (21_000..21_008).collect();
+    for (i, &port) in ports.iter().enumerate() {
+        peer.client_connect(port, StackConfig::local_addr(0), 80);
+        assert!(peer.client_send(port, &request), "connection {i}");
+        let mut reader = ResponseReader::new();
+        let mut response = None;
+        let answered = wait_for(
+            || {
+                reader.push(&peer.client_take(port));
+                response = reader.pop_response();
+                response.is_some()
+            },
+            Duration::from_secs(20),
+        );
+        assert!(
+            answered,
+            "connection {i} unanswered: {:?}",
+            peer.client_status(port)
+        );
+        let (status, body) = response.expect("answered");
+        if i < 4 {
+            assert_eq!(status, 200, "admitted connection {i}");
+            assert_eq!(body, expected, "admitted connection {i}");
+        } else {
+            assert_eq!(status, 503, "shed connection {i}");
+            assert!(
+                wait_for(
+                    || peer.client_status(port) == Some(ClientStatus::Closed),
+                    Duration::from_secs(20),
+                ),
+                "shed connection {i} not closed: {:?}",
+                peer.client_status(port)
+            );
+        }
+    }
+    // The admitted connections are still open, and nothing was reset.
+    for (i, &port) in ports.iter().enumerate() {
+        let status = peer.client_status(port);
+        if i < 4 {
+            assert_eq!(status, Some(ClientStatus::Established), "connection {i}");
+        } else {
+            assert_eq!(status, Some(ClientStatus::Closed), "connection {i}");
+        }
+    }
+    let stats = server.stop();
+    assert_eq!(stats.connections, 8, "{stats:?}");
+    assert_eq!(stats.shed_503, 4, "{stats:?}");
+    assert_eq!(stats.connection_errors, 0, "{stats:?}");
     stack.shutdown();
 }
 
@@ -550,13 +622,6 @@ fn nonblocking_timeout_semantics_are_explicit() {
         started.elapsed() < Duration::from_secs(1),
         "non-blocking recv must not wait"
     );
-    // accept() on a non-blocking client degrades to accept_nb.
-    let listener = nb.tcp_socket().expect("listener");
-    listener.bind(8080).expect("bind");
-    listener.listen(4).expect("listen");
-    assert!(matches!(listener.accept(), Err(SockError::WouldBlock)));
-    assert!(listener.accept_nb().expect("accept_nb").is_none());
-    assert!(!listener.accept_ready().expect("poll syscall"));
 
     // A non-zero timeout is a real-time bound ending in TimedOut.
     let bounded = stack.client().with_timeout(Duration::from_millis(50));
